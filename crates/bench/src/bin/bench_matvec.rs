@@ -28,6 +28,14 @@
 //!   (default 1.10; the two paths differ only by one output-vector
 //!   allocation, so the ratio sits at ~1.0 and the margin is pure
 //!   scheduler noise on shared CI runners)
+//!
+//! Two adjoint-cost gates run on the `into` path at the largest shape
+//! ([`ADJOINT_GATE_SHAPE`]): the `ddddd` adjoint may cost at most
+//! [`MAX_ADJ_FWD_RATIO`]× the `ddddd` forward apply (both move the same
+//! bytes; only the SBGEMV op differs), and the `dssdd` adjoint must beat
+//! the `ddddd` adjoint — a narrower phase 3 has to be a cheaper one.
+//! Each compares an interleaved pair of its own, so host drift cancels
+//! out of the comparison like it does for the into/alloc ratio.
 
 use std::hint::black_box;
 
@@ -45,6 +53,11 @@ const SHAPES: [(usize, usize, usize); 3] = [(2, 64, 64), (4, 128, 128), (8, 256,
 
 /// Configurations the gate keys on: the baseline and the paper optimum.
 const CONFIGS: [&str; 2] = ["ddddd", "dssdd"];
+
+/// Shape the adjoint-cost gates run on.
+const ADJOINT_GATE_SHAPE: (usize, usize, usize) = (8, 256, 256);
+/// Most the `ddddd` adjoint apply may cost relative to the forward one.
+const MAX_ADJ_FWD_RATIO: f64 = 1.3;
 
 fn measure(
     mv: &FftMatvec,
@@ -89,6 +102,55 @@ fn measure(
             ns_per_apply: ns,
         });
     }
+}
+
+/// Run the adjoint-cost gates; returns the failure lines (empty = pass).
+fn adjoint_cost_failures(samples: usize, sample_ms: f64) -> Vec<String> {
+    let (nd, nm, nt) = ADJOINT_GATE_SHAPE;
+    let build = |config: &str| {
+        FftMatvec::builder(make_operator(nd, nm, nt, nt as u64))
+            .precision(config.parse().expect("valid config literal"))
+            .build()
+            .expect("CPU build")
+    };
+    let (d, mp) = (build("ddddd"), build("dssdd"));
+    fn apply(mv: &FftMatvec, dir: OpDirection) -> impl FnMut() + '_ {
+        let (in_len, out_len) = mv.shape().io_lens(dir);
+        let input = stuffed_vector(in_len, 7);
+        let mut out = vec![0.0; out_len];
+        move || mv.apply_into(dir, black_box(&input), black_box(&mut out)).expect("valid shape")
+    }
+    let (fwd_d, adj_d) = time_pair_ns(
+        apply(&d, OpDirection::Forward),
+        apply(&d, OpDirection::Adjoint),
+        samples,
+        sample_ms,
+    );
+    let (adj_d2, adj_mp) = time_pair_ns(
+        apply(&d, OpDirection::Adjoint),
+        apply(&mp, OpDirection::Adjoint),
+        samples,
+        sample_ms,
+    );
+    let shape = format!("{nd}x{nm}x{nt}");
+    println!(
+        "adjoint cost at {shape}: ddddd adjoint/forward {:.3}x, dssdd/ddddd adjoint {:.3}x",
+        adj_d / fwd_d,
+        adj_mp / adj_d2
+    );
+    let mut failures = Vec::new();
+    if adj_d / fwd_d > MAX_ADJ_FWD_RATIO {
+        failures.push(format!(
+            "{shape} ddddd adjoint/forward {:.2}x > {MAX_ADJ_FWD_RATIO:.2}x",
+            adj_d / fwd_d
+        ));
+    }
+    if adj_mp >= adj_d2 {
+        failures.push(format!(
+            "{shape} dssdd adjoint {adj_mp:.0} ns does not beat ddddd adjoint {adj_d2:.0} ns"
+        ));
+    }
+    failures
 }
 
 fn main() {
@@ -168,6 +230,17 @@ fn main() {
     } else {
         eprintln!("into-vs-alloc check FAILED:");
         for f in &slow {
+            eprintln!("  {f}");
+        }
+        std::process::exit(1);
+    }
+
+    let adjoint_failures = adjoint_cost_failures(samples, sample_ms);
+    if adjoint_failures.is_empty() {
+        println!("adjoint-cost check: OK");
+    } else {
+        eprintln!("adjoint-cost check FAILED:");
+        for f in &adjoint_failures {
             eprintln!("  {f}");
         }
         std::process::exit(1);

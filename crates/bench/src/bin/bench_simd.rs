@@ -11,11 +11,17 @@
 //! * `convert_*` — the batched f16/bf16 ↔ f32 buffer casts;
 //! * `fft_forward` — a full iterative transform (radix-4/radix-2
 //!   butterfly stages) per precision tier;
-//! * `sbgemv_notrans` — the optimized short-wide GEMV tile sweep.
+//! * `sbgemv_notrans` — the optimized short-wide GEMV tile sweep;
+//! * `sbgemv_conjtrans` — the column-group adjoint GEMV sweep, on the
+//!   complex tiers of phase 3.
 //!
-//! Two checks, mirroring the other bench gates:
+//! Three checks, mirroring the other bench gates:
 //! * **floor** — the 16-bit conversion and butterfly kernels (the
 //!   tentpole claim) must be at least `-min`× the scalar path;
+//! * **adjoint floor** — at each complex tier, the vector `ConjTrans`
+//!   sweep must reach [`CONJ_FLOOR`]× the GB/s of the vector `NoTrans`
+//!   sweep at the same shape (both stream the same `m·n` matrix and
+//!   `m + n` vector elements, so this is the inverse time ratio);
 //! * **baseline** — every row's speedup must stay within `-tol` of the
 //!   committed `bench/baseline_simd.json`.
 //!
@@ -57,6 +63,9 @@ const CONV_LEN: usize = 1 << 12;
 const FFT_N: usize = 1024;
 /// Short-wide SBGEMV shape (paper regime: `m ≪ n`), batched.
 const GEMV_SHAPE: (usize, usize, usize) = (64, 256, 4);
+/// Least `ConjTrans`/`NoTrans` bandwidth ratio the adjoint sweep must
+/// reach at the same shape and tier.
+const CONJ_FLOOR: f64 = 0.8;
 
 /// Time `work` with dispatch forced portable vs forced to `level`,
 /// interleaved, and append the row.
@@ -195,11 +204,17 @@ fn measure_fft<T: Real>(
 
 fn measure_gemv<S: Scalar>(
     rows: &mut Vec<SimdResult>,
+    op: GemvOp,
     precision: &str,
     level: SimdLevel,
     samples: usize,
     ms: f64,
 ) {
+    let kernel = match op {
+        GemvOp::NoTrans => "sbgemv_notrans",
+        GemvOp::Trans => "sbgemv_trans",
+        GemvOp::ConjTrans => "sbgemv_conjtrans",
+    };
     let (m, n, batch) = GEMV_SHAPE;
     let mut rng = SplitMix64::new(47);
     let mut fill = |len: usize| -> Vec<S> {
@@ -207,20 +222,20 @@ fn measure_gemv<S: Scalar>(
             .map(|_| S::from_f64_parts(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
             .collect()
     };
-    let g = BatchGeometry::packed(m, n, GemvOp::NoTrans, batch);
+    let g = BatchGeometry::packed(m, n, op, batch);
     let a = fill(batch * m * n);
-    let x = fill(batch * n);
-    let mut y: Vec<S> = fill(batch * m);
+    let x = fill(batch * op.input_len(m, n));
+    let mut y: Vec<S> = fill(batch * op.output_len(m, n));
     let (alpha, beta) = (S::one(), S::zero());
     measure(
         rows,
-        "sbgemv_notrans",
+        kernel,
         precision,
         level,
         || {
             run_kernel(
                 KernelChoice::Optimized,
-                GemvOp::NoTrans,
+                op,
                 alpha,
                 black_box(&a),
                 black_box(&x),
@@ -261,9 +276,15 @@ fn main() {
     measure_fft::<f32>(&mut rows, "f32", level, samples, sample_ms);
     measure_fft::<f16>(&mut rows, "f16", level, samples, sample_ms);
     measure_fft::<bf16>(&mut rows, "bf16", level, samples, sample_ms);
-    measure_gemv::<f32>(&mut rows, "f32", level, samples, sample_ms);
-    measure_gemv::<f16>(&mut rows, "f16", level, samples, sample_ms);
-    measure_gemv::<bf16>(&mut rows, "bf16", level, samples, sample_ms);
+    measure_gemv::<f32>(&mut rows, GemvOp::NoTrans, "f32", level, samples, sample_ms);
+    measure_gemv::<f16>(&mut rows, GemvOp::NoTrans, "f16", level, samples, sample_ms);
+    measure_gemv::<bf16>(&mut rows, GemvOp::NoTrans, "bf16", level, samples, sample_ms);
+    for op in [GemvOp::NoTrans, GemvOp::ConjTrans] {
+        measure_gemv::<Complex<f64>>(&mut rows, op, "c64", level, samples, sample_ms);
+        measure_gemv::<Complex<f32>>(&mut rows, op, "c32", level, samples, sample_ms);
+        measure_gemv::<Complex<f16>>(&mut rows, op, "c16", level, samples, sample_ms);
+        measure_gemv::<Complex<bf16>>(&mut rows, op, "cb16", level, samples, sample_ms);
+    }
     rule(78);
 
     let mode = if quick { "quick" } else { "full" };
@@ -292,6 +313,20 @@ fn main() {
                 r.kernel,
                 r.precision,
                 r.speedup()
+            ));
+        }
+    }
+
+    for conj in rows.iter().filter(|r| r.kernel == "sbgemv_conjtrans") {
+        let notrans = rows
+            .iter()
+            .find(|r| r.kernel == "sbgemv_notrans" && r.precision == conj.precision)
+            .expect("every ConjTrans tier has a NoTrans row");
+        let ratio = notrans.simd_ns / conj.simd_ns;
+        if ratio < CONJ_FLOOR {
+            failures.push(format!(
+                "precision={}: ConjTrans at {ratio:.2}x the NoTrans GB/s < {CONJ_FLOOR:.2}x floor",
+                conj.precision
             ));
         }
     }

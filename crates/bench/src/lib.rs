@@ -409,9 +409,10 @@ pub mod simdjson {
     #[derive(Debug, Clone, PartialEq)]
     pub struct SimdResult {
         /// Kernel family: `"convert_widen"`, `"convert_narrow"`,
-        /// `"fft_forward"`, or `"sbgemv_notrans"`.
+        /// `"fft_forward"`, `"sbgemv_notrans"`, or `"sbgemv_conjtrans"`.
         pub kernel: String,
-        /// Element type: `"f64"`, `"f32"`, `"f16"`, or `"bf16"`.
+        /// Element type: `"f64"`, `"f32"`, `"f16"`, `"bf16"`, or the
+        /// complex `"c64"`, `"c32"`, `"c16"`, `"cb16"`.
         pub precision: String,
         /// The [`fftmatvec_numeric::SimdLevel`] name the vector leg ran
         /// at (informational; the gate compares the ratio).

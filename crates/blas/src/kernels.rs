@@ -1,21 +1,25 @@
 //! CPU executions of the two SBGEMV kernels.
 //!
 //! Both kernels compute `y_b = α·op(A_b)·x_b + β·y_b` for every matrix in
-//! the batch; they differ in *loop structure*, mirroring the GPU algorithms
-//! they stand in for:
+//! the batch. On the CPU they share one execution per `op`; what tells
+//! them apart is the GPU launch geometry [`crate::kernel_profile`]
+//! models for each (Figure 1):
 //!
-//! * [`reference_gemv`] — rocBLAS-style. Non-transpose accumulates
-//!   column-by-column (coalesced columns, `⌈m/64⌉` gridblocks); transpose
-//!   computes one full-length dot product per output element (one
-//!   gridblock each — the geometry that collapses when `m ≪ n`).
-//! * [`optimized_gemv`] — the paper's kernel: columns are processed in
-//!   tiles of [`crate::OPT_TILE_COLS`]; each column's dot product runs
-//!   four accumulators over row chunks of four (standing in for `float4`
-//!   vector loads with read/compute/write pipelining), combined at the end
-//!   (the wavefront-shuffle reduction).
+//! * [`reference_gemv`] — rocBLAS-style: non-transpose accumulates
+//!   column-by-column (`⌈m/64⌉` gridblocks); transpose computes one
+//!   full-length dot product per output element (one gridblock each —
+//!   the geometry that collapses when `m ≪ n`).
+//! * [`optimized_gemv`] — the paper's kernel: gridblocks tile the
+//!   columns in [`crate::OPT_TILE_COLS`]-wide chunks.
 //!
-//! The summation orders differ, so results may differ by O(ε) — tests
-//! compare both against a naive oracle rather than bit-for-bit.
+//! Both run the same arithmetic, so their outputs are bit-identical:
+//!
+//! * `NoTrans` — a row-tiled column sweep whose per-row partials merge
+//!   pairwise; the base runs go to the row-lane vector tile kernels.
+//! * `Trans` / `ConjTrans` — one pairwise dot per output column
+//!   (`pairwise_dot`), executed by the column-group vector kernels
+//!   (one lane per output column, the same tree per lane) when a SIMD
+//!   level is active, or by the scalar per-column loop here otherwise.
 //!
 //! **Summation structure matters for the error analysis.** GPU GEMV
 //! kernels never sum a length-k dot sequentially: threads hold partial
@@ -31,7 +35,6 @@ use fftmatvec_numeric::Scalar;
 use rayon::prelude::*;
 
 use crate::types::{BatchGeometry, GemvOp, KernelChoice};
-use crate::OPT_TILE_COLS;
 
 /// Serial-vs-parallel threshold in scalar MACs.
 #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
@@ -115,23 +118,43 @@ pub fn reference_gemv<S: Scalar>(
             }
         }
         GemvOp::Trans | GemvOp::ConjTrans => {
-            // One dot product of length m per output element — exactly the
-            // per-gridblock work assignment whose bandwidth collapses when
-            // m ≪ n (Section 3.1.1). The dot itself is a wavefront tree.
-            let conj = op == GemvOp::ConjTrans;
-            for (j, yj) in y.iter_mut().enumerate().take(n) {
-                let col = &a[j * lda..j * lda + m];
-                let acc = pairwise_dot(col, &x[..m], conj);
-                let prior = if beta_zero { S::zero() } else { beta * *yj };
-                *yj = alpha.mul_add(acc, prior);
-            }
+            let beta = (!beta_zero).then_some(beta);
+            trans_sweep(op == GemvOp::ConjTrans, alpha, a, lda, &x[..m], beta, y, n);
         }
+    }
+}
+
+/// The transposed sweep both kernels run: one dot product of length `m`
+/// per output column, each a [`pairwise_dot`] tree, then
+/// `y_j = α·dot + β·y_j` (`beta = None`: `y` is write-only). The column
+/// group vector kernels run the same tree per lane; the loop below is the
+/// portable reference.
+fn trans_sweep<S: Scalar>(
+    conj: bool,
+    alpha: S,
+    a: &[S],
+    lda: usize,
+    x: &[S],
+    beta: Option<S>,
+    y: &mut [S],
+    n: usize,
+) {
+    let n = n.min(y.len());
+    let y = &mut y[..n];
+    if crate::simd::trans_columns(conj, alpha, a, lda, x, beta, y) {
+        return;
+    }
+    let m = x.len();
+    for (j, yj) in y.iter_mut().enumerate() {
+        let acc = pairwise_dot(&a[j * lda..j * lda + m], x, conj);
+        let prior = beta.map_or(S::zero(), |beta| beta * *yj);
+        *yj = alpha.mul_add(acc, prior);
     }
 }
 
 /// Sequential run length at the base of the pairwise trees (a GPU
 /// thread's private accumulation before shuffles take over).
-const PAIRWISE_BASE: usize = 16;
+pub(crate) const PAIRWISE_BASE: usize = 16;
 
 /// Pairwise (recursive-halving) dot product — the error class of a
 /// wavefront tree reduction: `O(ε·log k)` worst case instead of
@@ -197,10 +220,10 @@ fn notrans_pairwise_tile<S: Scalar>(
     }
 }
 
-/// The paper's optimized kernel on one matrix. Only the transposed modes
-/// get the tiled path (the short-wide problem it was built for);
-/// `NoTrans` falls through to the reference loop, matching the upstream
-/// rocBLAS integration where the non-transpose kernel was left unchanged.
+/// The paper's optimized kernel on one matrix. Its column-tiled launch
+/// geometry lives in the GPU cost model ([`crate::kernel_profile`]); on
+/// the CPU it runs the same sweeps as [`reference_gemv`], so the two
+/// kernels agree bit for bit.
 pub fn optimized_gemv<S: Scalar>(
     op: GemvOp,
     alpha: S,
@@ -212,27 +235,7 @@ pub fn optimized_gemv<S: Scalar>(
     m: usize,
     n: usize,
 ) {
-    if op == GemvOp::NoTrans {
-        return reference_gemv(op, alpha, a, lda, x, beta, y, m, n);
-    }
-    let conj = op == GemvOp::ConjTrans;
-    let beta_zero = beta == S::zero();
-    // Gridblocks tile the columns; each block computes a chunk of outputs.
-    for (tile_idx, y_tile) in
-        y.chunks_mut(OPT_TILE_COLS).enumerate().take(n.div_ceil(OPT_TILE_COLS))
-    {
-        let j0 = tile_idx * OPT_TILE_COLS;
-        for (dj, yj) in y_tile.iter_mut().enumerate() {
-            let j = j0 + dj;
-            let col = &a[j * lda..j * lda + m];
-            // The 2-D thread block's dot: vectorized 16-byte loads feed
-            // per-thread partials (the base runs of `pairwise_dot`),
-            // combined by wave shuffles (the pairwise tree).
-            let dotv = pairwise_dot(col, &x[..m], conj);
-            let prior = if beta_zero { S::zero() } else { beta * *yj };
-            *yj = alpha.mul_add(dotv, prior);
-        }
-    }
+    reference_gemv(op, alpha, a, lda, x, beta, y, m, n)
 }
 
 #[cfg(test)]

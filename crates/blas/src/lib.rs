@@ -18,9 +18,9 @@
 //!   loads, read/compute/write pipelining, and wavefront-shuffle
 //!   reductions.
 //!
-//! Both kernels execute real arithmetic on the CPU (identical numerics —
-//! verified by tests); they differ in loop structure and, importantly, in
-//! the [`fftmatvec_gpu::KernelProfile`] their launches generate, which is
+//! Both kernels execute real arithmetic on the CPU through one shared
+//! sweep per op (bit-identical results); they differ in the
+//! [`fftmatvec_gpu::KernelProfile`] their launches generate, which is
 //! what Figure 1 measures. The host-side [`dispatch`] mirrors the rocBLAS
 //! integration: transition points choose the kernel from `(op, m, n)`,
 //! with the application code unchanged.

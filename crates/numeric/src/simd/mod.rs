@@ -4,7 +4,7 @@
 //! half the bytes moved *and* more elements per arithmetic instruction.
 //! This module is the CPU-side realization: batched `f16`/`bf16` ↔ `f32`
 //! conversion kernels here, and in-register building blocks
-//! ([`x86`]) that the FFT butterflies and the SBGEMV tile sweep build on.
+//! ([`x86`]) that the FFT butterflies and the SBGEMV sweeps build on.
 //!
 //! # Dispatch model
 //!
@@ -28,15 +28,21 @@
 //! # Bit-identity contract
 //!
 //! Every vectorized kernel produces **bit-for-bit** the same results as
-//! its portable scalar counterpart, for every input including NaNs,
-//! infinities, signed zeros, and subnormals. This is why the conversion
-//! kernels re-implement the scalar rounding algorithms with integer SIMD
-//! instead of using F16C (`vcvtps2ph` differs from
+//! its portable scalar counterpart, for every input including
+//! infinities, signed zeros, and subnormals, and — for the conversion
+//! kernels — NaN payloads. This is why the conversion kernels
+//! re-implement the scalar rounding algorithms with integer SIMD instead
+//! of using F16C (`vcvtps2ph` differs from
 //! [`crate::half::f32_to_f16_bits`] on NaN payloads), and why the
 //! arithmetic kernels never reassociate reductions: lane width, like
-//! thread count, must not change results. The equivalence is pinned by
-//! exhaustive and property tests (`tests/simd_equivalence.rs`) and by
-//! the differential oracle running identically at any level.
+//! thread count, must not change results. The arithmetic kernels put a
+//! NaN exactly where the scalar code does; when two NaNs meet in one add
+//! or FMA, IEEE-754 and Rust leave the winning sign and payload open
+//! (x86 picks by instruction operand slot, which the compiler chooses),
+//! so the equivalence suites compare those results as "NaN". The
+//! equivalence is pinned by exhaustive and property tests
+//! (`tests/simd_equivalence.rs`) and by the differential oracle running
+//! identically at any level.
 
 pub mod portable;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -263,6 +269,40 @@ mod tests {
         assert_eq!(SimdLevel::parse("AVX2"), Some(SimdLevel::Avx2));
         assert_eq!(SimdLevel::parse("sse9"), None);
         assert_eq!(SimdLevel::parse(""), None);
+    }
+
+    /// Every `#[target_feature]` helper in `x86.rs` must carry `#[inline]`:
+    /// without it (and with no LTO) each cross-crate call from the FFT
+    /// butterflies and SBGEMV kernels is a real call with its vector
+    /// arguments spilled through the stack.
+    #[test]
+    fn x86_target_feature_fns_are_inline() {
+        let src = include_str!("x86.rs");
+        let mut attrs: Vec<&str> = Vec::new();
+        let (mut checked, mut missing) = (0, Vec::new());
+        for (no, line) in src.lines().enumerate() {
+            let line = line.trim();
+            if line.starts_with("#[") {
+                attrs.push(line);
+            } else if line.starts_with("///") || line.starts_with("//") {
+                continue;
+            } else {
+                // The item the attributes belong to.
+                if attrs.iter().any(|a| a.starts_with("#[target_feature")) {
+                    checked += 1;
+                    if !attrs.iter().any(|a| a.starts_with("#[inline")) {
+                        missing.push(format!("x86.rs:{}: {line}", no + 1));
+                    }
+                }
+                attrs.clear();
+            }
+        }
+        assert!(checked >= 20, "found only {checked} #[target_feature] fns; parser out of date?");
+        assert!(
+            missing.is_empty(),
+            "#[target_feature] fns without #[inline]:\n{}",
+            missing.join("\n")
+        );
     }
 
     #[test]
