@@ -25,7 +25,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use fftmatvec_gpu::kernel::dtype_for;
+use fftmatvec_gpu::kernel::{dtype_for, FFT_PASSES};
 use fftmatvec_gpu::{DeviceSpec, KernelProfile, Phase, PhaseTimes};
 use fftmatvec_numeric::{ComplexBuffer, Precision, RealBuffer};
 
@@ -39,11 +39,6 @@ use crate::traits::{BatchFft, DeviceBackend, TransferStats};
 
 /// Modeled host↔device link bandwidth (bytes/s): PCIe Gen5 x16 class.
 pub const HOST_LINK_BYTES_PER_SEC: f64 = 64e9;
-
-/// Read+write sweeps a batched shared-memory GPU FFT of a few thousand
-/// points makes over its data (same constant the phase simulator in
-/// `fftmatvec-core` uses).
-const FFT_PASSES: f64 = 2.0;
 
 #[derive(Debug, Default)]
 struct SimState {

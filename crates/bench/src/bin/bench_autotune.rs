@@ -36,10 +36,7 @@
 
 use std::sync::Arc;
 
-use fftmatvec_bench::autotunejson::{
-    format_document, gated_count, no_slower_failures, parse_document, promise_failures,
-    regressions, AutotuneResult,
-};
+use fftmatvec_bench::benchdoc::{format_document, limit_failures, AutotuneResult, Gates};
 use fftmatvec_bench::{measure_errors_dir, rule, stuffed_vector, timing, Args};
 use fftmatvec_core::{
     BlockToeplitzOperator, FftMatvec, LinearOperator, OpDirection, PrecisionConfig,
@@ -119,6 +116,7 @@ fn main() {
     let args = Args::from_env();
     let quick = args.has("quick");
     let out_path: String = args.get("out", "BENCH_autotune.json".to_string());
+    let check_path: String = args.get("check", String::new());
     let tol: f64 = args.get("tol", 1.5);
     let margin: f64 = args.get("margin", 1.10);
     let (samples, sample_ms) = if quick { (5, 20.0) } else { (9, 40.0) };
@@ -163,68 +161,28 @@ fn main() {
     std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path}");
 
-    let mut failed = false;
-
+    let mut gates = Gates::default();
     // The analytic half is deterministic: a budget under every narrow
     // floor must resolve to all-double, on any host.
-    for r in &results {
-        if r.budget <= 1e-12 && r.config != PrecisionConfig::all_double().to_string() {
-            failed = true;
-            eprintln!(
-                "tight-budget gate FAILED: budget {:e} resolved to {} instead of all-double",
-                r.budget, r.config
-            );
-        }
-    }
-
-    let promise = promise_failures(&results);
-    if promise.is_empty() {
-        println!("promise gate: OK (every measured error within its budget)");
-    } else {
-        failed = true;
-        eprintln!("promise gate FAILED:");
-        for f in &promise {
-            eprintln!("  {f}");
-        }
-    }
-
-    let slow = no_slower_failures(&results, margin);
-    if slow.is_empty() {
-        println!("no-slower gate: OK (autotuned within {margin:.2}x of all-double everywhere)");
-    } else {
-        failed = true;
-        eprintln!("no-slower gate FAILED:");
-        for f in &slow {
-            eprintln!("  {f}");
-        }
-    }
-
-    if let Some(baseline_path) =
-        args.has("check").then(|| args.get("check", String::new())).filter(|p| !p.is_empty())
-    {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("reading baseline {baseline_path}: {e}"));
-        let baseline = parse_document(&text);
-        assert!(
-            gated_count(&baseline) > 0,
-            "baseline {baseline_path} gates nothing — regenerate it"
-        );
-        let fails = regressions(&results, &baseline, tol);
-        if fails.is_empty() {
-            println!(
-                "baseline gate: OK ({} row(s) within {tol:.2}x of {baseline_path})",
-                gated_count(&baseline)
-            );
-        } else {
-            failed = true;
-            eprintln!("baseline gate FAILED against {baseline_path}:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    let all_double = PrecisionConfig::all_double().to_string();
+    let tight: Vec<String> = results
+        .iter()
+        .filter(|r| r.budget <= 1e-12 && r.config != all_double)
+        .map(|r| format!("budget {:e} resolved to {} instead of all-double", r.budget, r.config))
+        .collect();
+    gates.record("tight-budget gate", "every budget <= 1e-12 resolved to all-double", &tight);
+    gates.record(
+        "promise gate",
+        "every measured error within its budget",
+        &limit_failures(&results, "measured error / budget", ..=1.0, |r| {
+            Some(r.measured_error / r.budget)
+        }),
+    );
+    gates.record(
+        "no-slower gate",
+        &format!("autotuned within {margin:.2}x of all-double everywhere"),
+        &limit_failures(&results, "tuned/double ns", ..=margin, |r| Some(r.tuned_ns / r.double_ns)),
+    );
+    gates.check_baseline(&check_path, &results, tol);
+    gates.finish();
 }

@@ -33,7 +33,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use fftmatvec_backend::{CpuPool, DeviceBackend};
-use fftmatvec_bench::backendjson::{self, BackendResult};
+use fftmatvec_bench::benchdoc::{format_document, limit_failures, BackendResult, Gates, Row};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{rule, Args};
 use fftmatvec_comm::collectives::tree_reduce_sum_in_place;
@@ -128,6 +128,8 @@ fn main() {
     let (samples, sample_ms) = if quick { (7, 10.0) } else { (11, 25.0) };
     let max_overhead: f64 = args.get("max", 1.05);
     let tol: f64 = args.get("tol", 1.10);
+    let out_path: String = args.get("out", String::new());
+    let check_path: String = args.get("check", String::new());
 
     let device = CpuPool::new();
     println!(
@@ -250,31 +252,17 @@ fn main() {
     assert_eq!(as_dyn.name(), "cpu-pool");
 
     let mode = if quick { "quick" } else { "full" };
-    let out_path: String = args.get("out", String::new());
     if !out_path.is_empty() {
-        std::fs::write(&out_path, backendjson::format_document(mode, &rows))
-            .expect("writing -out file");
+        std::fs::write(&out_path, format_document(mode, &rows)).expect("writing -out file");
         println!("wrote {out_path}");
     }
 
-    let mut failures = backendjson::overhead_failures(&rows, max_overhead);
-
-    let check_path: String = args.get("check", String::new());
-    if !check_path.is_empty() {
-        let text = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("reading baseline {check_path}: {e}"));
-        let baseline = backendjson::parse_document(&text);
-        assert!(backendjson::gated_count(&baseline) > 0, "baseline {check_path} gates nothing");
-        failures.extend(backendjson::regressions(&rows, &baseline, tol));
-    }
-
-    if failures.is_empty() {
-        println!("backend gate: OK ({} rows within the {max_overhead:.2}x ceiling)", rows.len());
-    } else {
-        eprintln!("backend gate FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    let mut gates = Gates::default();
+    gates.record(
+        "ceiling gate",
+        &format!("{} rows within the {max_overhead:.2}x ceiling", rows.len()),
+        &limit_failures(&rows, "trait/direct overhead", ..=max_overhead, |r| r.statistic(&rows)),
+    );
+    gates.check_baseline(&check_path, &rows, tol);
+    gates.finish();
 }

@@ -25,7 +25,7 @@
 
 use std::hint::black_box;
 
-use fftmatvec_bench::benchjson::{self, BenchResult};
+use fftmatvec_bench::benchdoc::{format_document, BenchResult, Gates, Row};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::Args;
 use fftmatvec_fft::{cache, FftDirection, RecursiveFftPlan};
@@ -112,44 +112,24 @@ fn main() {
     );
     println!("{header}");
     fftmatvec_bench::rule(header.len());
-    for &n in &SIZES {
-        for prec in ["f64", "f32", "f16", "bf16"] {
-            let get = |engine: &str| {
-                results
-                    .iter()
-                    .find(|r| r.size == n && r.precision == prec && r.engine == engine)
-                    .map(|r| r.ns_per_transform)
-                    .unwrap_or(f64::NAN)
-            };
-            let (it, rec) = (get("iterative"), get("recursive"));
-            println!("{:>6} | {:>5} | {:>12.0} | {:>12.0} | {:>7.2}x", n, prec, it, rec, rec / it);
-        }
+    for r in results.iter().filter(|r| r.engine == "iterative") {
+        let cost = r.statistic(&results).expect("recursive leg measured with every iterative leg");
+        let (it, rec) = (r.ns_per_transform, r.ns_per_transform / cost);
+        println!(
+            "{:>6} | {:>5} | {:>12.0} | {:>12.0} | {:>7.2}x",
+            r.size,
+            r.precision,
+            it,
+            rec,
+            rec / it
+        );
     }
 
-    let doc = benchjson::format_document(mode, &results);
+    let doc = format_document(mode, &results);
     std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("\nwrote {out_path} ({} results)", results.len());
 
-    if !check_path.is_empty() {
-        let baseline_text = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("reading baseline {check_path}: {e}"));
-        let baseline = benchjson::parse_document(&baseline_text);
-        assert!(!baseline.is_empty(), "baseline {check_path} contains no results");
-        let gated = benchjson::gated_count(&baseline);
-        assert!(
-            gated > 0,
-            "baseline {check_path} gates nothing (no iterative+recursive pairs) — \
-             regenerate it with this binary"
-        );
-        let failures = benchjson::regressions(&results, &baseline, tol);
-        if failures.is_empty() {
-            println!("regression check vs {check_path}: OK ({gated} gated entries)");
-        } else {
-            eprintln!("regression check vs {check_path} FAILED:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    let mut gates = Gates::default();
+    gates.check_baseline(&check_path, &results, tol);
+    gates.finish();
 }

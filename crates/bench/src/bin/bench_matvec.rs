@@ -39,7 +39,7 @@
 
 use std::hint::black_box;
 
-use fftmatvec_bench::matvecjson::{self, MatvecResult};
+use fftmatvec_bench::benchdoc::{format_document, limit_failures, Gates, MatvecResult, Row};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{make_operator, stuffed_vector, Args};
 use fftmatvec_core::{FftMatvec, LinearOperator, OpDirection, PrecisionConfig};
@@ -189,83 +189,35 @@ fn main() {
     );
     println!("{header}");
     fftmatvec_bench::rule(header.len());
-    for &(nd, nm, nt) in &SHAPES {
-        let shape = format!("{nd}x{nm}x{nt}");
-        for config in CONFIGS {
-            for direction in ["forward", "adjoint"] {
-                let get = |path: &str| {
-                    results
-                        .iter()
-                        .find(|r| {
-                            r.shape == shape
-                                && r.config == config
-                                && r.direction == direction
-                                && r.path == path
-                        })
-                        .map(|r| r.ns_per_apply)
-                        .unwrap_or(f64::NAN)
-                };
-                let (a, i) = (get("alloc"), get("into"));
-                println!(
-                    "{:>12} | {:>6} | {:>8} | {:>12.0} | {:>12.0} | {:>9.3}x",
-                    shape,
-                    config,
-                    direction,
-                    a,
-                    i,
-                    i / a
-                );
-            }
-        }
+    for r in results.iter().filter(|r| r.path == "into") {
+        let ratio = r.statistic(&results).expect("alloc leg measured with every into leg");
+        println!(
+            "{:>12} | {:>6} | {:>8} | {:>12.0} | {:>12.0} | {:>9.3}x",
+            r.shape,
+            r.config,
+            r.direction,
+            r.ns_per_apply / ratio,
+            r.ns_per_apply,
+            ratio
+        );
     }
 
-    let doc = matvecjson::format_document(mode, &results);
+    let doc = format_document(mode, &results);
     std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("\nwrote {out_path} ({} results)", results.len());
 
+    let mut gates = Gates::default();
     // Structural acceptance gate: into never slower than alloc.
-    let slow = matvecjson::into_slower_than_alloc(&results, ratio_tol);
-    if slow.is_empty() {
-        println!("into-vs-alloc check: OK (tolerance {ratio_tol:.2}x)");
-    } else {
-        eprintln!("into-vs-alloc check FAILED:");
-        for f in &slow {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-
-    let adjoint_failures = adjoint_cost_failures(samples, sample_ms);
-    if adjoint_failures.is_empty() {
-        println!("adjoint-cost check: OK");
-    } else {
-        eprintln!("adjoint-cost check FAILED:");
-        for f in &adjoint_failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-
-    if !check_path.is_empty() {
-        let baseline_text = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("reading baseline {check_path}: {e}"));
-        let baseline = matvecjson::parse_document(&baseline_text);
-        assert!(!baseline.is_empty(), "baseline {check_path} contains no results");
-        let gated = matvecjson::gated_count(&baseline);
-        assert!(
-            gated > 0,
-            "baseline {check_path} gates nothing (no into+alloc pairs) — \
-             regenerate it with this binary"
-        );
-        let failures = matvecjson::regressions(&results, &baseline, tol);
-        if failures.is_empty() {
-            println!("regression check vs {check_path}: OK ({gated} gated entries)");
-        } else {
-            eprintln!("regression check vs {check_path} FAILED:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gates.record(
+        "into-vs-alloc check",
+        &format!("tolerance {ratio_tol:.2}x"),
+        &limit_failures(&results, "into/alloc", ..=ratio_tol, |r| r.statistic(&results)),
+    );
+    gates.record(
+        "adjoint-cost check",
+        &format!("ddddd adjoint/forward <= {MAX_ADJ_FWD_RATIO:.2}x, dssdd adjoint < ddddd"),
+        &adjoint_cost_failures(samples, sample_ms),
+    );
+    gates.check_baseline(&check_path, &results, tol);
+    gates.finish();
 }

@@ -39,10 +39,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fftmatvec_bench::servicejson::{
-    coalescing_speedup, format_document, gated_count, occupancy_failures, parse_document,
-    regressions, saturation_failures, ServiceResult,
-};
+use fftmatvec_bench::benchdoc::{format_document, limit_failures, Gates, Row, ServiceResult};
 use fftmatvec_bench::{make_operator, rule, stuffed_vector, timing, Args};
 use fftmatvec_core::{FftMatvec, LinearOperator, OpDirection};
 use fftmatvec_numeric::SplitMix64;
@@ -134,6 +131,7 @@ fn main() {
     let args = Args::from_env();
     let quick = args.has("quick");
     let out_path: String = args.get("out", "BENCH_service.json".to_string());
+    let check_path: String = args.get("check", String::new());
     let tol: f64 = args.get("tol", 1.25);
     let min_speedup: f64 = args.get("min-speedup", 1.5);
     let min_occupancy: f64 = args.get("min-occupancy", 0.25);
@@ -206,28 +204,21 @@ fn main() {
         results.push(row);
     }
 
-    let shape_key = format!("{nd}x{nm}x{nt}");
-    let speedup = coalescing_speedup(&results, &shape_key).expect("both modes measured");
+    let speedup = results.iter().find_map(|r| r.statistic(&results)).expect("both modes measured");
     println!("coalescing speedup at saturation: {speedup:.2}x");
 
     let doc = format_document(if quick { "quick" } else { "full" }, &results);
     std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path}");
 
-    let mut failed = false;
-
+    let mut gates = Gates::default();
     // Occupancy bar — any host: under 2× oversubscription the coalesced
     // lane must actually fill its windows.
-    let occ = occupancy_failures(&results, min_occupancy);
-    if occ.is_empty() {
-        println!("occupancy gate: OK (mean window {:.2})", results[0].mean_batch);
-    } else {
-        failed = true;
-        eprintln!("occupancy gate FAILED:");
-        for f in &occ {
-            eprintln!("  {f}");
-        }
-    }
+    gates.record(
+        "occupancy gate",
+        &format!("mean window {:.2}", results[0].mean_batch),
+        &limit_failures(&results, "window occupancy", min_occupancy.., |r| r.occupancy()),
+    );
 
     // Saturation bar — multi-core hosts only: one lane cannot outrun
     // itself, so a <4-lane host logs the numbers and skips enforcement.
@@ -237,45 +228,16 @@ fn main() {
              measured {speedup:.2}x vs the {min_speedup:.2}x bar)"
         );
     } else {
-        let sat = saturation_failures(&results, min_speedup);
-        if sat.is_empty() {
-            println!("saturation gate: OK ({speedup:.2}x >= {min_speedup:.2}x)");
-        } else {
-            failed = true;
-            eprintln!("saturation gate FAILED:");
-            for f in &sat {
-                eprintln!("  {f}");
-            }
-        }
+        gates.record(
+            "saturation gate",
+            &format!("{speedup:.2}x >= {min_speedup:.2}x"),
+            &limit_failures(&results, "coalescing speedup", min_speedup.., |r| {
+                r.statistic(&results)
+            }),
+        );
     }
 
     // Baseline comparison — normalized, so it enforces everywhere.
-    if let Some(baseline_path) =
-        args.has("check").then(|| args.get("check", String::new())).filter(|p| !p.is_empty())
-    {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("reading baseline {baseline_path}: {e}"));
-        let baseline = parse_document(&text);
-        assert!(
-            gated_count(&baseline) > 0,
-            "baseline {baseline_path} gates nothing — regenerate it"
-        );
-        let fails = regressions(&results, &baseline, tol);
-        if fails.is_empty() {
-            println!(
-                "baseline gate: OK ({} shape(s) within {tol:.2}x of {baseline_path})",
-                gated_count(&baseline)
-            );
-        } else {
-            failed = true;
-            eprintln!("baseline gate FAILED against {baseline_path}:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    gates.check_baseline(&check_path, &results, tol);
+    gates.finish();
 }

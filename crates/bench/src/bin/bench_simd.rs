@@ -41,7 +41,7 @@
 
 use std::hint::black_box;
 
-use fftmatvec_bench::simdjson::{self, SimdResult};
+use fftmatvec_bench::benchdoc::{format_document, limit_failures, Gates, SimdResult};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{rule, Args};
 use fftmatvec_blas::kernels::run_kernel;
@@ -262,6 +262,8 @@ fn main() {
     let (samples, sample_ms) = if quick { (7, 10.0) } else { (11, 25.0) };
     let tol: f64 = args.get("tol", 1.25);
     let min_speedup: f64 = args.get("min", 1.0);
+    let out_path: String = args.get("out", String::new());
+    let check_path: String = args.get("check", String::new());
 
     let level = active_level();
     println!(
@@ -288,10 +290,8 @@ fn main() {
     rule(78);
 
     let mode = if quick { "quick" } else { "full" };
-    let out_path: String = args.get("out", String::new());
     if !out_path.is_empty() {
-        std::fs::write(&out_path, simdjson::format_document(mode, &rows))
-            .expect("writing -out file");
+        std::fs::write(&out_path, format_document(mode, &rows)).expect("writing -out file");
         println!("wrote {out_path}");
     }
 
@@ -305,48 +305,27 @@ fn main() {
         return;
     }
 
-    let mut failures = Vec::new();
-    for r in rows.iter().filter(|r| floor_gated(r)) {
-        if r.speedup() < min_speedup {
-            failures.push(format!(
-                "kernel={} precision={}: {:.2}x < {min_speedup:.2}x floor",
-                r.kernel,
-                r.precision,
-                r.speedup()
-            ));
+    let mut gates = Gates::default();
+    gates.record(
+        "floor gate",
+        &format!("16-bit conversion/butterfly rows >= {min_speedup:.2}x at {}", level.name()),
+        &limit_failures(&rows, "speedup", min_speedup.., |r| floor_gated(r).then(|| r.speedup())),
+    );
+    let conj_vs_notrans = |conj: &SimdResult| {
+        if conj.kernel != "sbgemv_conjtrans" {
+            return None;
         }
-    }
-
-    for conj in rows.iter().filter(|r| r.kernel == "sbgemv_conjtrans") {
         let notrans = rows
             .iter()
             .find(|r| r.kernel == "sbgemv_notrans" && r.precision == conj.precision)
             .expect("every ConjTrans tier has a NoTrans row");
-        let ratio = notrans.simd_ns / conj.simd_ns;
-        if ratio < CONJ_FLOOR {
-            failures.push(format!(
-                "precision={}: ConjTrans at {ratio:.2}x the NoTrans GB/s < {CONJ_FLOOR:.2}x floor",
-                conj.precision
-            ));
-        }
-    }
-
-    let check_path: String = args.get("check", String::new());
-    if !check_path.is_empty() {
-        let text = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("reading baseline {check_path}: {e}"));
-        let baseline = simdjson::parse_document(&text);
-        assert!(simdjson::gated_count(&baseline) > 0, "baseline {check_path} gates nothing");
-        failures.extend(simdjson::regressions(&rows, &baseline, tol));
-    }
-
-    if failures.is_empty() {
-        println!("simd gate: OK ({} rows measured at {})", rows.len(), level.name());
-    } else {
-        eprintln!("simd gate FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+        Some(notrans.simd_ns / conj.simd_ns)
+    };
+    gates.record(
+        "adjoint floor gate",
+        &format!("ConjTrans >= {CONJ_FLOOR:.2}x the NoTrans GB/s"),
+        &limit_failures(&rows, "ConjTrans/NoTrans GB/s", CONJ_FLOOR.., conj_vs_notrans),
+    );
+    gates.check_baseline(&check_path, &rows, tol);
+    gates.finish();
 }

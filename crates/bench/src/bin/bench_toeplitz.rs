@@ -26,9 +26,7 @@
 //!   (default 1.5)
 //! * `-margin <x>` — the split-scratch bar (default 0.75)
 
-use fftmatvec_bench::toeplitzjson::{
-    format_document, gated_count, parse_document, regressions, scratch_failures, ToeplitzResult,
-};
+use fftmatvec_bench::benchdoc::{format_document, limit_failures, Gates, ToeplitzResult};
 use fftmatvec_bench::{rule, timing, Args};
 use fftmatvec_core::{LinearOperator, OpDirection};
 use fftmatvec_numeric::vecmath::rel_l2_error;
@@ -83,7 +81,7 @@ fn run_row(
     dir: OpDirection,
     samples: usize,
     sample_ms: f64,
-    failed: &mut bool,
+    differential: &mut Vec<String>,
 ) -> ToeplitzResult {
     let gen = two_level_gen(outer, inner, 11);
     let (rows, cols) = (gen.rows(), gen.cols());
@@ -105,15 +103,14 @@ fn run_row(
     for (path, y) in [("full", &y_full), ("split", &y_split)] {
         let err = rel_l2_error(y, &y_dense);
         if err.is_nan() || err >= 1e-12 {
-            *failed = true;
-            eprintln!(
-                "differential gate FAILED: {path} path at {}x{}x{}x{} {} has rel err {err:e}",
+            differential.push(format!(
+                "{path} path at {}x{}x{}x{} {} has rel err {err:e}",
                 outer.0,
                 outer.1,
                 inner.0,
                 inner.1,
                 dir_name(dir)
-            );
+            ));
         }
     }
 
@@ -144,6 +141,7 @@ fn main() {
     let args = Args::from_env();
     let quick = args.has("quick");
     let out_path: String = args.get("out", "BENCH_toeplitz.json".to_string());
+    let check_path: String = args.get("check", String::new());
     let tol: f64 = args.get("tol", 1.5);
     let margin: f64 = args.get("margin", 0.75);
     let (samples, sample_ms) = if quick { (5, 20.0) } else { (9, 40.0) };
@@ -175,10 +173,10 @@ fn main() {
     println!("{header}");
     rule(header.len());
 
-    let mut failed = false;
+    let mut differential = Vec::new();
     let mut results = Vec::new();
     for &(outer, inner, dir) in rows {
-        let r = run_row(outer, inner, dir, samples, sample_ms, &mut failed);
+        let r = run_row(outer, inner, dir, samples, sample_ms, &mut differential);
         println!(
             "{:<14} {:>8} {:>11.0} {:>11.0} {:>12.0} {:>9.2} {:>10} {:>10} {:>7.0}%",
             r.shape,
@@ -198,43 +196,15 @@ fn main() {
     std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path}");
 
-    let scratch = scratch_failures(&results, margin);
-    if scratch.is_empty() {
-        println!("scratch gate: OK (split peak <= {margin:.2}x full peak everywhere)");
-    } else {
-        failed = true;
-        eprintln!("scratch gate FAILED:");
-        for f in &scratch {
-            eprintln!("  {f}");
-        }
-    }
-
-    if let Some(baseline_path) =
-        args.has("check").then(|| args.get("check", String::new())).filter(|p| !p.is_empty())
-    {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("reading baseline {baseline_path}: {e}"));
-        let baseline = parse_document(&text);
-        assert!(
-            gated_count(&baseline) > 0,
-            "baseline {baseline_path} gates nothing — regenerate it"
-        );
-        let fails = regressions(&results, &baseline, tol);
-        if fails.is_empty() {
-            println!(
-                "baseline gate: OK ({} row(s) within {tol:.2}x of {baseline_path})",
-                gated_count(&baseline)
-            );
-        } else {
-            failed = true;
-            eprintln!("baseline gate FAILED against {baseline_path}:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    let mut gates = Gates::default();
+    gates.record("differential gate", "both FFT paths within 1e-12 of dense", &differential);
+    gates.record(
+        "scratch gate",
+        &format!("split peak <= {margin:.2}x full peak everywhere"),
+        &limit_failures(&results, "split/full peak scratch", ..=margin, |r| {
+            Some(r.scratch_ratio())
+        }),
+    );
+    gates.check_baseline(&check_path, &results, tol);
+    gates.finish();
 }

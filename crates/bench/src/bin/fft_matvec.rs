@@ -60,6 +60,10 @@ fn main() {
     let nm = args.get("nm", 5000usize);
     let nd = args.get("nd", 100usize);
     let nt = args.get("Nt", args.get("nt", 1000usize));
+    if nm == 0 || nd == 0 || nt == 0 {
+        eprintln!("-nm, -nd and -nt must be positive (got {nm}, {nd}, {nt})");
+        std::process::exit(2);
+    }
     let prec: String = args.get("prec", "ddddd".to_string());
     let cfg: PrecisionConfig = prec.parse().unwrap_or_else(|e| {
         eprintln!("{e}");

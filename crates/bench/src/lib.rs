@@ -22,14 +22,15 @@ impl Args {
         Args { raw: std::env::args().skip(1).collect() }
     }
 
-    /// Value of `-name <v>`, parsed, or the default.
+    /// Value of `-name <v>`, parsed, or the default when the flag is
+    /// absent. A present flag whose value is missing or does not parse is
+    /// a usage error: the process exits with status 2, naming the flag.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        let flag = format!("-{name}");
-        self.raw
-            .iter()
-            .position(|a| a.eq_ignore_ascii_case(&flag))
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        flag_value(&self.raw, name)
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            })
             .unwrap_or(default)
     }
 
@@ -38,6 +39,18 @@ impl Args {
         let flag = format!("-{name}");
         self.raw.iter().any(|a| a.eq_ignore_ascii_case(&flag))
     }
+}
+
+/// The value following `-name` in `raw` (the flag matched
+/// case-insensitively): `Ok(None)` when the flag is absent, an error
+/// naming the flag when its value is missing or does not parse as `T`.
+fn flag_value<T: std::str::FromStr>(raw: &[String], name: &str) -> Result<Option<T>, String> {
+    let flag = format!("-{name}");
+    let Some(i) = raw.iter().position(|a| a.eq_ignore_ascii_case(&flag)) else {
+        return Ok(None);
+    };
+    let value = raw.get(i + 1).ok_or_else(|| format!("{flag}: missing value"))?;
+    value.parse().map(Some).map_err(|_| format!("{flag}: invalid value {value:?}"))
 }
 
 /// Build a random block-Toeplitz operator. Entries are *positive*
@@ -97,16 +110,219 @@ pub fn ms(t: f64) -> String {
     format!("{:.3}", t * 1e3)
 }
 
-/// Machine-readable benchmark records: the `BENCH_fft.json` /
-/// `bench/baseline.json` format the CI `bench-smoke` job produces and
-/// gates on.
-///
-/// The format is deliberately line-oriented JSON — one result object per
-/// line — so it round-trips through this module's dependency-free parser
-/// (the build environment has no serde) while staying valid JSON for any
-/// downstream tooling.
-pub mod benchjson {
-    /// One measured data point.
+pub mod benchdoc {
+    //! Machine-readable benchmark documents: the `BENCH_*.json` files the gate
+    //! binaries write and the committed `bench/baseline*.json` files the CI
+    //! `bench-smoke` job gates on.
+    //!
+    //! The format is deliberately line-oriented JSON — one result object per
+    //! line — so it round-trips through this module's dependency-free parser
+    //! (the build environment has no serde) while staying valid JSON for any
+    //! downstream tooling.
+    //!
+    //! Each document kind is a [`Row`] type that says only what is its own:
+    //! how a row renders and parses, the key a baseline row is matched by, and
+    //! its gate statistic. Every statistic is a ratio of two legs measured in
+    //! one session, so machine speed and load cancel and a CI runner can be
+    //! gated against a baseline committed from different hardware. The rest is
+    //! shared: the envelope and parse loop ([`format_document`],
+    //! [`parse_document`]), the baseline comparison ([`regressions`],
+    //! [`gated_count`]), the absolute gates ([`limit_failures`]) and the
+    //! binaries' verdicts and `-check` tail ([`Gates`]). A NaN statistic fails
+    //! every gate: only a definite comparison passes.
+
+    use std::fmt::Debug;
+    use std::ops::RangeBounds;
+    use std::str::FromStr;
+
+    /// One row kind of a benchmark document.
+    pub trait Row: Sized {
+        /// The envelope's `"unit"` value.
+        const UNIT: &'static str;
+        /// Name of the gate statistic in failure lines.
+        const STATISTIC: &'static str;
+        /// Whether a larger statistic is better (a speedup) rather than
+        /// worse (a cost ratio).
+        const HIGHER_IS_BETTER: bool;
+
+        /// The row's `"key": value` pairs, as its line holds them between
+        /// the braces.
+        fn render(&self) -> String;
+
+        /// Parse one document line; `None` for envelope lines.
+        fn parse(line: &str) -> Option<Self>;
+
+        /// The key a baseline row is matched by in the current document,
+        /// as `name=value` pairs (failure lines start with it).
+        fn key(&self) -> String;
+
+        /// The gate statistic of this row within `doc`, the document the
+        /// row belongs to. `None` for a row that carries no statistic: the
+        /// reference leg of a pair, or a pair whose reference is missing.
+        fn statistic(&self, doc: &[Self]) -> Option<f64>;
+    }
+
+    /// Extract the value following `"key":` on `line`, up to `,` or `}`.
+    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+        let tag = format!("\"{key}\":");
+        let start = line.find(&tag)? + tag.len();
+        let rest = &line[start..];
+        let end = rest.find([',', '}']).unwrap_or(rest.len());
+        Some(rest[..end].trim().trim_matches('"'))
+    }
+
+    /// [`field`], parsed.
+    fn num<T: FromStr>(line: &str, key: &str) -> Option<T> {
+        field(line, key)?.parse().ok()
+    }
+
+    /// The row of `doc` at `row`'s key that `leg` selects: the other leg
+    /// of a same-document pair statistic.
+    fn pair_leg<'a, R: Row>(doc: &'a [R], row: &R, leg: impl Fn(&R) -> bool) -> Option<&'a R> {
+        let key = row.key();
+        doc.iter().find(|r| leg(r) && r.key() == key)
+    }
+
+    /// Render the full document. `mode` records how the numbers were taken
+    /// (`"quick"` for the CI smoke job, `"full"` for committed baselines).
+    pub fn format_document<R: Row>(mode: &str, rows: &[R]) -> String {
+        let mut out = String::new();
+        out.push_str("{\n");
+        out.push_str("  \"schema\": 1,\n");
+        out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
+        out.push_str(&format!("  \"unit\": \"{}\",\n", R::UNIT));
+        out.push_str("  \"results\": [\n");
+        for (i, r) in rows.iter().enumerate() {
+            let sep = if i + 1 == rows.len() { "" } else { "," };
+            out.push_str(&format!("    {{{}}}{sep}\n", r.render()));
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
+
+    /// Parse every result line of a document produced by
+    /// [`format_document`]. Lines that do not parse as a row — the
+    /// envelope — are skipped, so no real JSON parser is needed. Derived
+    /// fields a row renders (speedups, ratios) are recomputed, not
+    /// trusted.
+    pub fn parse_document<R: Row>(text: &str) -> Vec<R> {
+        text.lines().filter_map(R::parse).collect()
+    }
+
+    /// Number of baseline rows the gate can actually enforce: rows with a
+    /// statistic. A baseline that gates nothing is a broken baseline —
+    /// callers should fail on 0, not report success.
+    pub fn gated_count<R: Row>(baseline: &[R]) -> usize {
+        baseline.iter().filter(|b| b.statistic(baseline).is_some()).count()
+    }
+
+    /// Compare `current` against `baseline`: at every key the baseline
+    /// gates, the current statistic may be worse than the baseline's by at
+    /// most the factor `tol` (e.g. `1.25` = fail on a >25% relative
+    /// regression). A key missing from `current`, or a NaN on either side,
+    /// fails. Baseline rows without a statistic are not gated — check
+    /// [`gated_count`] to detect a baseline that silently gates nothing.
+    /// Returns human-readable failure lines; empty = pass.
+    pub fn regressions<R: Row>(current: &[R], baseline: &[R], tol: f64) -> Vec<String> {
+        let mut failures = Vec::new();
+        for b in baseline {
+            let Some(base) = b.statistic(baseline) else {
+                continue;
+            };
+            let key = b.key();
+            let Some(cur) =
+                current.iter().filter(|c| c.key() == key).find_map(|c| c.statistic(current))
+            else {
+                failures.push(format!("missing result for {key}"));
+                continue;
+            };
+            let ratio = if R::HIGHER_IS_BETTER { base / cur } else { cur / base };
+            if !(..=tol).contains(&ratio) {
+                failures.push(format!(
+                    "{key}: {} {cur:.3} vs baseline {base:.3} ({ratio:.2}x > {tol:.2}x budget)",
+                    R::STATISTIC
+                ));
+            }
+        }
+        failures
+    }
+
+    /// The absolute gates: rows of `doc` whose `value` lies outside `limit`
+    /// (`..=max` for a ceiling, `min..` for a floor). Rows where `value` is
+    /// `None` are not gated; a NaN value fails. Returns failure lines
+    /// naming the row's key and `what` was measured; empty = pass.
+    pub fn limit_failures<R: Row>(
+        doc: &[R],
+        what: &str,
+        limit: impl RangeBounds<f64> + Debug,
+        value: impl Fn(&R) -> Option<f64>,
+    ) -> Vec<String> {
+        doc.iter()
+            .filter_map(|r| {
+                let v = value(r)?;
+                (!limit.contains(&v))
+                    .then(|| format!("{}: {what} {v:.3} outside {limit:?}", r.key()))
+            })
+            .collect()
+    }
+
+    /// Verdict ledger of a gate binary: each gate prints its outcome as it
+    /// is recorded, and [`Gates::finish`] exits with status 1 if any gate
+    /// failed — after all of them ran, so one log shows every failure.
+    #[derive(Default)]
+    pub struct Gates {
+        failed: bool,
+    }
+
+    impl Gates {
+        /// Record one gate: `"{name}: OK ({note})"` on stdout when
+        /// `failures` is empty, else `"{name} FAILED:"` and one line per
+        /// failure on stderr.
+        pub fn record(&mut self, name: &str, note: &str, failures: &[String]) {
+            if failures.is_empty() {
+                println!("{name}: OK ({note})");
+                return;
+            }
+            self.failed = true;
+            eprintln!("{name} FAILED:");
+            for f in failures {
+                eprintln!("  {f}");
+            }
+        }
+
+        /// The `-check <path>` gate of every gate binary: parse the baseline
+        /// document at `path`, refuse one that gates nothing, and record the
+        /// [`regressions`] of `current` against it at `tol`. Does nothing
+        /// when `path` is empty (no `-check`).
+        pub fn check_baseline<R: Row>(&mut self, path: &str, current: &[R], tol: f64) {
+            if path.is_empty() {
+                return;
+            }
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));
+            let baseline = parse_document::<R>(&text);
+            let gated = gated_count(&baseline);
+            assert!(gated > 0, "baseline {path} gates nothing — regenerate it with this binary");
+            self.record(
+                "baseline gate",
+                &format!("{gated} gated rows within {tol:.2}x of {path}"),
+                &regressions(current, &baseline, tol),
+            );
+        }
+
+        /// Exit with status 1 if any recorded gate failed.
+        pub fn finish(self) {
+            if self.failed {
+                std::process::exit(1);
+            }
+        }
+    }
+
+    /// One measured data point of the FFT engine benchmark
+    /// (`BENCH_fft.json` / `bench/baseline.json`, written by `bench_fft`).
+    /// Rows are keyed by `(size, precision)`; the statistic of an
+    /// `iterative` row is its cost divided by the `recursive` row's at the
+    /// same key.
     #[derive(Debug, Clone, PartialEq)]
     pub struct BenchResult {
         /// Transform length.
@@ -130,123 +346,50 @@ pub mod benchjson {
         pub ns_per_transform: f64,
     }
 
-    /// Render the full document. `mode` records how the numbers were taken
-    /// (`"quick"` for the CI smoke job, `"full"` for committed baselines).
-    pub fn format_document(mode: &str, results: &[BenchResult]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-        out.push_str("  \"unit\": \"ns_per_transform\",\n");
-        out.push_str("  \"results\": [\n");
-        for (i, r) in results.iter().enumerate() {
-            let sep = if i + 1 == results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"size\": {}, \"precision\": \"{}\", \"engine\": \"{}\", \
-                 \"threads\": {}, \"ns_per_transform\": {:.1}}}{}\n",
-                r.size, r.precision, r.engine, r.threads, r.ns_per_transform, sep
-            ));
+    impl Row for BenchResult {
+        const UNIT: &'static str = "ns_per_transform";
+        const STATISTIC: &'static str = "iterative/recursive";
+        const HIGHER_IS_BETTER: bool = false;
+
+        fn render(&self) -> String {
+            format!(
+                "\"size\": {}, \"precision\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \
+                 \"ns_per_transform\": {:.1}",
+                self.size, self.precision, self.engine, self.threads, self.ns_per_transform
+            )
         }
-        out.push_str("  ]\n}\n");
-        out
-    }
 
-    /// Extract the value following `"key":` on `line`, up to `,` or `}`.
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let tag = format!("\"{key}\":");
-        let start = line.find(&tag)? + tag.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-
-    /// Parse every result line of a document produced by
-    /// [`format_document`]. Lines without a `"size"` field are skipped, so
-    /// the surrounding envelope needs no real JSON parser.
-    pub fn parse_document(text: &str) -> Vec<BenchResult> {
-        text.lines()
-            .filter_map(|line| {
-                Some(BenchResult {
-                    size: field(line, "size")?.parse().ok()?,
-                    precision: field(line, "precision")?.to_string(),
-                    engine: field(line, "engine")?.to_string(),
-                    // Absent in pre-thread-column documents: those were
-                    // measured on the sequential shim, i.e. one thread.
-                    threads: field(line, "threads").and_then(|v| v.parse().ok()).unwrap_or(1),
-                    ns_per_transform: field(line, "ns_per_transform")?.parse().ok()?,
-                })
+        fn parse(line: &str) -> Option<Self> {
+            Some(BenchResult {
+                size: num(line, "size")?,
+                precision: field(line, "precision")?.into(),
+                engine: field(line, "engine")?.into(),
+                // Absent in pre-thread-column documents: those were
+                // measured on the sequential shim, i.e. one thread.
+                threads: num(line, "threads").unwrap_or(1),
+                ns_per_transform: num(line, "ns_per_transform")?,
             })
-            .collect()
-    }
-
-    /// Normalized cost of the iterative engine at `(size, precision)`:
-    /// iterative ns divided by recursive ns *from the same document*.
-    /// Because both engines are measured in one session, machine speed and
-    /// load cancel, making the number comparable across hosts — a CI
-    /// runner can be gated against a baseline committed from a laptop.
-    fn normalized_cost(doc: &[BenchResult], size: usize, precision: &str) -> Option<f64> {
-        let get = |engine: &str| {
-            doc.iter()
-                .find(|r| r.size == size && r.precision == precision && r.engine == engine)
-                .map(|r| r.ns_per_transform)
-        };
-        Some(get("iterative")? / get("recursive")?)
-    }
-
-    /// Number of baseline entries the gate can actually enforce: iterative
-    /// rows whose recursive reference is also present. A baseline that
-    /// gates nothing is a broken baseline — callers should fail on 0, not
-    /// report success.
-    pub fn gated_count(baseline: &[BenchResult]) -> usize {
-        baseline
-            .iter()
-            .filter(|b| b.engine == "iterative")
-            .filter(|b| normalized_cost(baseline, b.size, &b.precision).is_some())
-            .count()
-    }
-
-    /// Compare `current` against `baseline`: for every `(size, precision)`
-    /// the baseline covers, the iterative engine's recursive-normalized
-    /// cost must be within `tol` of the baseline's (e.g. `1.25` = fail on
-    /// a >25% relative regression). Returns human-readable failure lines;
-    /// empty = pass. Baseline iterative rows without a recursive reference
-    /// cannot be normalized and are not gated — check [`gated_count`] to
-    /// detect a baseline that silently gates nothing.
-    pub fn regressions(current: &[BenchResult], baseline: &[BenchResult], tol: f64) -> Vec<String> {
-        let mut failures = Vec::new();
-        for b in baseline.iter().filter(|b| b.engine == "iterative") {
-            let Some(base_cost) = normalized_cost(baseline, b.size, &b.precision) else {
-                continue; // baseline lacks the recursive reference: ungated
-            };
-            let Some(cur_cost) = normalized_cost(current, b.size, &b.precision) else {
-                failures.push(format!(
-                    "missing result pair for size={} precision={}",
-                    b.size, b.precision
-                ));
-                continue;
-            };
-            let ratio = cur_cost / base_cost;
-            if ratio > tol {
-                failures.push(format!(
-                    "size={} precision={}: iterative/recursive = {:.3} vs baseline {:.3} \
-                     ({:.2}x > {:.2}x budget)",
-                    b.size, b.precision, cur_cost, base_cost, ratio, tol
-                ));
-            }
         }
-        failures
-    }
-}
 
-/// Machine-readable matvec benchmark records: the `BENCH_matvec.json` /
-/// `bench/baseline_matvec.json` format the CI `bench-smoke` job produces
-/// and gates on. Same line-oriented JSON convention as [`benchjson`];
-/// rows are keyed by `(shape, config, direction, path)` where `path`
-/// distinguishes the allocating `apply_forward` from the zero-allocation
-/// `apply_forward_into` — the gate's normalized statistic is the
-/// into/alloc cost ratio, which cancels machine speed.
-pub mod matvecjson {
-    /// One measured matvec data point.
+        fn key(&self) -> String {
+            format!("size={} precision={}", self.size, self.precision)
+        }
+
+        fn statistic(&self, doc: &[Self]) -> Option<f64> {
+            if self.engine != "iterative" {
+                return None;
+            }
+            let recursive = pair_leg(doc, self, |r| r.engine == "recursive")?;
+            Some(self.ns_per_transform / recursive.ns_per_transform)
+        }
+    }
+
+    /// One measured matvec data point (`BENCH_matvec.json` /
+    /// `bench/baseline_matvec.json`, written by `bench_matvec`). Rows are
+    /// keyed by `(shape, config, direction)`; `path` distinguishes the
+    /// allocating `apply_forward` from the zero-allocation
+    /// `apply_forward_into`, and the statistic of an `into` row is its cost
+    /// divided by the `alloc` row's.
     #[derive(Debug, Clone, PartialEq)]
     pub struct MatvecResult {
         /// Problem shape as `"{nd}x{nm}x{nt}"`.
@@ -259,153 +402,55 @@ pub mod matvecjson {
         /// on preallocated buffers).
         pub path: String,
         /// Pool width the row was measured at (see
-        /// `benchjson::BenchResult::threads`).
+        /// [`BenchResult::threads`]).
         pub threads: usize,
         /// Best-case (min-of-samples) wall-clock nanoseconds per apply.
         pub ns_per_apply: f64,
     }
 
-    /// Render the full document (`mode` = `"quick"` or `"full"`).
-    pub fn format_document(mode: &str, results: &[MatvecResult]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-        out.push_str("  \"unit\": \"ns_per_apply\",\n");
-        out.push_str("  \"results\": [\n");
-        for (i, r) in results.iter().enumerate() {
-            let sep = if i + 1 == results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"shape\": \"{}\", \"config\": \"{}\", \"direction\": \"{}\", \
-                 \"path\": \"{}\", \"threads\": {}, \"ns_per_apply\": {:.1}}}{}\n",
-                r.shape, r.config, r.direction, r.path, r.threads, r.ns_per_apply, sep
-            ));
+    impl Row for MatvecResult {
+        const UNIT: &'static str = "ns_per_apply";
+        const STATISTIC: &'static str = "into/alloc";
+        const HIGHER_IS_BETTER: bool = false;
+
+        fn render(&self) -> String {
+            format!(
+                "\"shape\": \"{}\", \"config\": \"{}\", \"direction\": \"{}\", \"path\": \"{}\", \
+                 \"threads\": {}, \"ns_per_apply\": {:.1}",
+                self.shape, self.config, self.direction, self.path, self.threads, self.ns_per_apply
+            )
         }
-        out.push_str("  ]\n}\n");
-        out
-    }
 
-    /// Extract the value following `"key":` on `line`, up to `,` or `}`.
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let tag = format!("\"{key}\":");
-        let start = line.find(&tag)? + tag.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-
-    /// Parse every result line of a document produced by
-    /// [`format_document`].
-    pub fn parse_document(text: &str) -> Vec<MatvecResult> {
-        text.lines()
-            .filter_map(|line| {
-                Some(MatvecResult {
-                    shape: field(line, "shape")?.to_string(),
-                    config: field(line, "config")?.to_string(),
-                    direction: field(line, "direction")?.to_string(),
-                    path: field(line, "path")?.to_string(),
-                    // Absent in pre-thread-column documents (sequential
-                    // shim era): one thread.
-                    threads: field(line, "threads").and_then(|v| v.parse().ok()).unwrap_or(1),
-                    ns_per_apply: field(line, "ns_per_apply")?.parse().ok()?,
-                })
+        fn parse(line: &str) -> Option<Self> {
+            Some(MatvecResult {
+                shape: field(line, "shape")?.into(),
+                config: field(line, "config")?.into(),
+                direction: field(line, "direction")?.into(),
+                path: field(line, "path")?.into(),
+                // Absent in pre-thread-column documents (sequential
+                // shim era): one thread.
+                threads: num(line, "threads").unwrap_or(1),
+                ns_per_apply: num(line, "ns_per_apply")?,
             })
-            .collect()
-    }
+        }
 
-    fn lookup(doc: &[MatvecResult], key: &MatvecResult, path: &str) -> Option<f64> {
-        doc.iter()
-            .find(|r| {
-                r.shape == key.shape
-                    && r.config == key.config
-                    && r.direction == key.direction
-                    && r.path == path
-            })
-            .map(|r| r.ns_per_apply)
-    }
+        fn key(&self) -> String {
+            format!("shape={} config={} direction={}", self.shape, self.config, self.direction)
+        }
 
-    /// Normalized cost of the `into` path at `key`'s
-    /// `(shape, config, direction)`: into ns divided by alloc ns *from
-    /// the same document*, so machine speed cancels and a CI runner can
-    /// gate against a baseline from different hardware.
-    fn normalized_cost(doc: &[MatvecResult], key: &MatvecResult) -> Option<f64> {
-        Some(lookup(doc, key, "into")? / lookup(doc, key, "alloc")?)
-    }
-
-    /// Number of baseline keys the gate can enforce (into rows whose
-    /// alloc reference is present). 0 means a broken baseline.
-    pub fn gated_count(baseline: &[MatvecResult]) -> usize {
-        baseline
-            .iter()
-            .filter(|r| r.path == "into")
-            .filter(|r| normalized_cost(baseline, r).is_some())
-            .count()
-    }
-
-    /// Compare `current` against `baseline`: for every key the baseline
-    /// covers, the into/alloc cost ratio must be within `tol` of the
-    /// baseline's. Returns human-readable failure lines; empty = pass.
-    pub fn regressions(
-        current: &[MatvecResult],
-        baseline: &[MatvecResult],
-        tol: f64,
-    ) -> Vec<String> {
-        let mut failures = Vec::new();
-        for b in baseline.iter().filter(|r| r.path == "into") {
-            let Some(base_cost) = normalized_cost(baseline, b) else {
-                continue; // baseline lacks the alloc reference: ungated
-            };
-            let Some(cur_cost) = normalized_cost(current, b) else {
-                failures.push(format!(
-                    "missing result pair for shape={} config={} direction={}",
-                    b.shape, b.config, b.direction
-                ));
-                continue;
-            };
-            let ratio = cur_cost / base_cost;
-            if ratio > tol {
-                failures.push(format!(
-                    "shape={} config={} direction={}: into/alloc = {:.3} vs baseline {:.3} \
-                     ({:.2}x > {:.2}x budget)",
-                    b.shape, b.config, b.direction, cur_cost, base_cost, ratio, tol
-                ));
+        fn statistic(&self, doc: &[Self]) -> Option<f64> {
+            if self.path != "into" {
+                return None;
             }
+            let alloc = pair_leg(doc, self, |r| r.path == "alloc")?;
+            Some(self.ns_per_apply / alloc.ns_per_apply)
         }
-        failures
     }
 
-    /// The acceptance check itself: the `into` path must be no slower
-    /// than the allocating path at every benchmarked key, within a small
-    /// noise margin `tol` (the shipped default is `1.10` — the paths
-    /// differ only by one output-vector allocation, so the ratio sits at
-    /// ~1.0 and the margin absorbs shared-runner scheduler noise).
-    /// Returns failure lines.
-    pub fn into_slower_than_alloc(doc: &[MatvecResult], tol: f64) -> Vec<String> {
-        doc.iter()
-            .filter(|r| r.path == "into")
-            .filter_map(|r| {
-                let cost = normalized_cost(doc, r)?;
-                (cost > tol).then(|| {
-                    format!(
-                        "shape={} config={} direction={}: into path {:.3}x the alloc path \
-                         (> {:.2}x)",
-                        r.shape, r.config, r.direction, cost, tol
-                    )
-                })
-            })
-            .collect()
-    }
-}
-
-/// Machine-readable SIMD-vs-scalar records: the `BENCH_simd.json` /
-/// `bench/baseline_simd.json` format the CI `bench-smoke` job produces
-/// and gates on. Same line-oriented JSON convention as [`benchjson`];
-/// rows are keyed by `(kernel, precision)`. Both legs of every row are
-/// measured interleaved in one session, so the gate statistic — the
-/// portable/simd speedup — cancels machine speed like the other gates'
-/// normalized costs.
-pub mod simdjson {
-    /// One measured kernel data point.
+    /// One measured kernel data point of the SIMD-vs-scalar benchmark
+    /// (`BENCH_simd.json` / `bench/baseline_simd.json`, written by
+    /// `bench_simd`). Rows are keyed by `(kernel, precision)`; the
+    /// statistic is the portable/simd [`speedup`](SimdResult::speedup).
     #[derive(Debug, Clone, PartialEq)]
     pub struct SimdResult {
         /// Kernel family: `"convert_widen"`, `"convert_narrow"`,
@@ -431,109 +476,50 @@ pub mod simdjson {
         }
     }
 
-    /// Render the full document (`mode` = `"quick"` or `"full"`).
-    pub fn format_document(mode: &str, results: &[SimdResult]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-        out.push_str("  \"unit\": \"ns_per_call\",\n");
-        out.push_str("  \"results\": [\n");
-        for (i, r) in results.iter().enumerate() {
-            let sep = if i + 1 == results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"precision\": \"{}\", \"level\": \"{}\", \
-                 \"portable_ns\": {:.1}, \"simd_ns\": {:.1}, \"speedup\": {:.3}}}{}\n",
-                r.kernel,
-                r.precision,
-                r.level,
-                r.portable_ns,
-                r.simd_ns,
-                r.speedup(),
-                sep
-            ));
+    impl Row for SimdResult {
+        const UNIT: &'static str = "ns_per_call";
+        const STATISTIC: &'static str = "speedup";
+        const HIGHER_IS_BETTER: bool = true;
+
+        fn render(&self) -> String {
+            format!(
+                "\"kernel\": \"{}\", \"precision\": \"{}\", \"level\": \"{}\", \
+                 \"portable_ns\": {:.1}, \"simd_ns\": {:.1}, \"speedup\": {:.3}",
+                self.kernel,
+                self.precision,
+                self.level,
+                self.portable_ns,
+                self.simd_ns,
+                self.speedup()
+            )
         }
-        out.push_str("  ]\n}\n");
-        out
-    }
 
-    /// Extract the value following `"key":` on `line`, up to `,` or `}`.
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let tag = format!("\"{key}\":");
-        let start = line.find(&tag)? + tag.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-
-    /// Parse every result line of a document produced by
-    /// [`format_document`] (the redundant `speedup` field is recomputed,
-    /// not trusted).
-    pub fn parse_document(text: &str) -> Vec<SimdResult> {
-        text.lines()
-            .filter_map(|line| {
-                Some(SimdResult {
-                    kernel: field(line, "kernel")?.to_string(),
-                    precision: field(line, "precision")?.to_string(),
-                    level: field(line, "level")?.to_string(),
-                    portable_ns: field(line, "portable_ns")?.parse().ok()?,
-                    simd_ns: field(line, "simd_ns")?.parse().ok()?,
-                })
+        fn parse(line: &str) -> Option<Self> {
+            Some(SimdResult {
+                kernel: field(line, "kernel")?.into(),
+                precision: field(line, "precision")?.into(),
+                level: field(line, "level")?.into(),
+                portable_ns: num(line, "portable_ns")?,
+                simd_ns: num(line, "simd_ns")?,
             })
-            .collect()
-    }
-
-    /// Number of baseline rows the gate can enforce. 0 means a broken
-    /// baseline — callers should fail on it, not report success.
-    pub fn gated_count(baseline: &[SimdResult]) -> usize {
-        baseline.len()
-    }
-
-    /// Compare `current` against `baseline`: every baseline row's speedup
-    /// must be matched within `tol` (e.g. `1.25` = the current speedup may
-    /// be at most 25% below the committed one). Missing rows fail. Returns
-    /// human-readable failure lines; empty = pass.
-    pub fn regressions(current: &[SimdResult], baseline: &[SimdResult], tol: f64) -> Vec<String> {
-        let mut failures = Vec::new();
-        for b in baseline {
-            let Some(c) =
-                current.iter().find(|c| c.kernel == b.kernel && c.precision == b.precision)
-            else {
-                failures.push(format!(
-                    "missing result for kernel={} precision={}",
-                    b.kernel, b.precision
-                ));
-                continue;
-            };
-            let ratio = b.speedup() / c.speedup();
-            if ratio > tol {
-                failures.push(format!(
-                    "kernel={} precision={}: speedup {:.2}x vs baseline {:.2}x \
-                     ({:.2}x > {:.2}x budget)",
-                    b.kernel,
-                    b.precision,
-                    c.speedup(),
-                    b.speedup(),
-                    ratio,
-                    tol
-                ));
-            }
         }
-        failures
-    }
-}
 
-/// Machine-readable serving-load records: the `BENCH_service.json` /
-/// `bench/baseline_service.json` format the CI `bench-smoke` job
-/// produces and gates on. Same line-oriented JSON convention as
-/// [`benchjson`]; rows are keyed by `(shape, mode)` where `mode` is
-/// `"coalesced"` (the service's max-batch window) or `"batch1"`
-/// (windows forced to a single request). Both modes are measured in one
-/// session at the same offered load, so the gate statistic — the
-/// coalesced/batch1 throughput ratio — cancels machine speed like the
-/// other gates' normalized costs.
-pub mod servicejson {
-    /// One measured serving-load data point.
+        fn key(&self) -> String {
+            format!("kernel={} precision={}", self.kernel, self.precision)
+        }
+
+        fn statistic(&self, _doc: &[Self]) -> Option<f64> {
+            Some(self.speedup())
+        }
+    }
+
+    /// One measured serving-load data point (`BENCH_service.json` /
+    /// `bench/baseline_service.json`, written by `bench_service`). Rows
+    /// are keyed by `shape`; `mode` is `"coalesced"` (the service's
+    /// max-batch window) or `"batch1"` (windows forced to a single
+    /// request), both measured in one session at the same offered load.
+    /// The statistic of a `coalesced` row is the coalesced/batch1
+    /// throughput ratio, the coalescing speedup.
     #[derive(Debug, Clone, PartialEq)]
     pub struct ServiceResult {
         /// Problem shape as `"{nd}x{nm}x{nt}"`.
@@ -563,196 +549,79 @@ pub mod servicejson {
         pub rejected: u64,
     }
 
-    /// Render the full document (`mode` = `"quick"` or `"full"`).
-    pub fn format_document(mode: &str, results: &[ServiceResult]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-        out.push_str("  \"unit\": \"requests_per_second\",\n");
-        out.push_str("  \"results\": [\n");
-        for (i, r) in results.iter().enumerate() {
-            let sep = if i + 1 == results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"shape\": \"{}\", \"mode\": \"{}\", \"max_batch\": {}, \
-                 \"threads\": {}, \"offered_rps\": {:.1}, \"throughput_rps\": {:.1}, \
-                 \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"mean_batch\": {:.2}, \
-                 \"completed\": {}, \"rejected\": {}}}{}\n",
-                r.shape,
-                r.mode,
-                r.max_batch,
-                r.threads,
-                r.offered_rps,
-                r.throughput_rps,
-                r.p50_us,
-                r.p99_us,
-                r.mean_batch,
-                r.completed,
-                r.rejected,
-                sep
-            ));
+    impl ServiceResult {
+        /// Mean window occupancy as a fraction of `max_batch`: the
+        /// occupancy gate's value, defined for `coalesced` rows only.
+        pub fn occupancy(&self) -> Option<f64> {
+            (self.mode == "coalesced").then(|| self.mean_batch / self.max_batch as f64)
         }
-        out.push_str("  ]\n}\n");
-        out
     }
 
-    /// Extract the value following `"key":` on `line`, up to `,` or `}`.
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let tag = format!("\"{key}\":");
-        let start = line.find(&tag)? + tag.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
+    impl Row for ServiceResult {
+        const UNIT: &'static str = "requests_per_second";
+        const STATISTIC: &'static str = "coalescing speedup";
+        const HIGHER_IS_BETTER: bool = true;
 
-    /// Parse every result line of a document produced by
-    /// [`format_document`]. Lines without a `"max_batch"` field (the
-    /// envelope, including its own `"mode"` line) are skipped.
-    pub fn parse_document(text: &str) -> Vec<ServiceResult> {
-        text.lines()
-            .filter_map(|line| {
-                Some(ServiceResult {
-                    shape: field(line, "shape")?.to_string(),
-                    mode: field(line, "mode")?.to_string(),
-                    max_batch: field(line, "max_batch")?.parse().ok()?,
-                    threads: field(line, "threads")?.parse().ok()?,
-                    offered_rps: field(line, "offered_rps")?.parse().ok()?,
-                    throughput_rps: field(line, "throughput_rps")?.parse().ok()?,
-                    p50_us: field(line, "p50_us")?.parse().ok()?,
-                    p99_us: field(line, "p99_us")?.parse().ok()?,
-                    mean_batch: field(line, "mean_batch")?.parse().ok()?,
-                    completed: field(line, "completed")?.parse().ok()?,
-                    rejected: field(line, "rejected")?.parse().ok()?,
-                })
+        fn render(&self) -> String {
+            format!(
+                "\"shape\": \"{}\", \"mode\": \"{}\", \"max_batch\": {}, \"threads\": {}, \
+                 \"offered_rps\": {:.1}, \"throughput_rps\": {:.1}, \"p50_us\": {:.1}, \
+                 \"p99_us\": {:.1}, \"mean_batch\": {:.2}, \"completed\": {}, \"rejected\": {}",
+                self.shape,
+                self.mode,
+                self.max_batch,
+                self.threads,
+                self.offered_rps,
+                self.throughput_rps,
+                self.p50_us,
+                self.p99_us,
+                self.mean_batch,
+                self.completed,
+                self.rejected
+            )
+        }
+
+        /// Needs `"max_batch"`, so the envelope — including its own
+        /// `"mode"` line — is skipped.
+        fn parse(line: &str) -> Option<Self> {
+            Some(ServiceResult {
+                shape: field(line, "shape")?.into(),
+                mode: field(line, "mode")?.into(),
+                max_batch: num(line, "max_batch")?,
+                threads: num(line, "threads")?,
+                offered_rps: num(line, "offered_rps")?,
+                throughput_rps: num(line, "throughput_rps")?,
+                p50_us: num(line, "p50_us")?,
+                p99_us: num(line, "p99_us")?,
+                mean_batch: num(line, "mean_batch")?,
+                completed: num(line, "completed")?,
+                rejected: num(line, "rejected")?,
             })
-            .collect()
-    }
+        }
 
-    fn throughput(doc: &[ServiceResult], shape: &str, mode: &str) -> Option<f64> {
-        doc.iter()
-            .find(|r| r.shape == shape && r.mode == mode)
-            .map(|r| r.throughput_rps)
-            .filter(|&t| t > 0.0)
-    }
+        fn key(&self) -> String {
+            format!("shape={}", self.shape)
+        }
 
-    /// The gate statistic at `shape`: coalesced throughput divided by
-    /// batch1 throughput *from the same document* — a same-session ratio,
-    /// so machine speed cancels and a CI runner can gate against a
-    /// baseline committed from different hardware.
-    pub fn coalescing_speedup(doc: &[ServiceResult], shape: &str) -> Option<f64> {
-        Some(throughput(doc, shape, "coalesced")? / throughput(doc, shape, "batch1")?)
-    }
-
-    /// Number of baseline shapes the gate can enforce (both modes
-    /// present). 0 means a broken baseline — callers should fail on it,
-    /// not report success.
-    pub fn gated_count(baseline: &[ServiceResult]) -> usize {
-        baseline
-            .iter()
-            .filter(|r| r.mode == "coalesced")
-            .filter(|r| coalescing_speedup(baseline, &r.shape).is_some())
-            .count()
-    }
-
-    /// Compare `current` against `baseline`: for every shape the baseline
-    /// covers, the coalescing speedup must be within `tol` of the
-    /// baseline's (e.g. `1.25` = the current speedup may be at most 25%
-    /// below the committed one). Missing shapes fail. Returns
-    /// human-readable failure lines; empty = pass.
-    pub fn regressions(
-        current: &[ServiceResult],
-        baseline: &[ServiceResult],
-        tol: f64,
-    ) -> Vec<String> {
-        let mut failures = Vec::new();
-        for b in baseline.iter().filter(|r| r.mode == "coalesced") {
-            let Some(base) = coalescing_speedup(baseline, &b.shape) else {
-                continue; // baseline lacks the batch1 reference: ungated
-            };
-            let Some(cur) = coalescing_speedup(current, &b.shape) else {
-                failures.push(format!("missing result pair for shape={}", b.shape));
-                continue;
-            };
-            let ratio = base / cur;
-            if ratio > tol {
-                failures.push(format!(
-                    "shape={}: coalescing speedup {:.2}x vs baseline {:.2}x \
-                     ({:.2}x > {:.2}x budget)",
-                    b.shape, cur, base, ratio, tol
-                ));
+        fn statistic(&self, doc: &[Self]) -> Option<f64> {
+            // An idle leg has no ratio; a NaN throughput stays in, so its
+            // NaN speedup fails the gates.
+            let served = |r: &Self| r.throughput_rps > 0.0 || r.throughput_rps.is_nan();
+            if self.mode != "coalesced" || !served(self) {
+                return None;
             }
+            let batch1 = pair_leg(doc, self, |r| r.mode == "batch1" && served(r))?;
+            Some(self.throughput_rps / batch1.throughput_rps)
         }
-        failures
     }
 
-    /// The absolute saturation gate: every shape's coalescing speedup
-    /// must reach `min_speedup` (the shipped bar is `1.5`). Only
-    /// meaningful on hosts with enough lanes that the coalesced window
-    /// can actually exploit intra-batch parallelism — callers SKIP (with
-    /// logged numbers) below 4 lanes. Returns failure lines.
-    pub fn saturation_failures(doc: &[ServiceResult], min_speedup: f64) -> Vec<String> {
-        doc.iter()
-            .filter(|r| r.mode == "coalesced")
-            .filter_map(|r| {
-                let speedup = coalescing_speedup(doc, &r.shape)?;
-                (speedup < min_speedup).then(|| {
-                    format!(
-                        "shape={}: coalescing speedup {:.2}x below the {:.2}x saturation bar",
-                        r.shape, speedup, min_speedup
-                    )
-                })
-            })
-            .collect()
-    }
-
-    /// The occupancy gate: coalesced windows must average at least
-    /// `min_frac` of their `max_batch` (the shipped bar is `0.25`) — it
-    /// proves requests genuinely coalesce rather than trickling through
-    /// one per window, and unlike the saturation gate it holds on any
-    /// host because an overloaded single lane fills windows regardless
-    /// of core count. Returns failure lines.
-    pub fn occupancy_failures(doc: &[ServiceResult], min_frac: f64) -> Vec<String> {
-        doc.iter()
-            .filter(|r| r.mode == "coalesced")
-            .filter_map(|r| {
-                let floor = r.max_batch as f64 * min_frac;
-                (r.mean_batch < floor).then(|| {
-                    format!(
-                        "shape={}: mean window occupancy {:.2} below {:.2} \
-                         ({}% of max_batch {})",
-                        r.shape,
-                        r.mean_batch,
-                        floor,
-                        (min_frac * 100.0) as u32,
-                        r.max_batch
-                    )
-                })
-            })
-            .collect()
-    }
-}
-
-/// Print a horizontal rule sized to a header line.
-/// Machine-readable autotuner records: the `BENCH_autotune.json` /
-/// `bench/baseline_autotune.json` format the CI `bench-smoke` job
-/// produces and gates on. Same line-oriented JSON convention as
-/// [`benchjson`]; rows are keyed by `(shape, direction, budget)`.
-///
-/// Three gate statistics per row:
-/// * **promise** (absolute, any host): the measured relative error of
-///   the configuration the autotuner picked must be at or under the
-///   requested budget;
-/// * **no-slower** (intra-run, any host): all-double is always
-///   admissible, so the autotuned configuration may never be materially
-///   slower than all-double — both legs are timed interleaved in one
-///   process;
-/// * **speedup** (baseline-normalized): the double/tuned cost ratio is
-///   a same-session statistic that cancels machine speed, but the
-///   *chosen* configuration is itself host-dependent (the autotuner
-///   measures this host's tiers), so the baseline tolerance is looser
-///   than the kernel-level gates'.
-pub mod autotunejson {
-    /// One autotuned operating point.
+    /// One autotuned operating point (`BENCH_autotune.json` /
+    /// `bench/baseline_autotune.json`, written by `bench_autotune`). Rows
+    /// are keyed by `(shape, direction, budget)`; the statistic is the
+    /// double/tuned [`speedup`](AutotuneResult::speedup). The configuration
+    /// the autotuner chooses is itself host-dependent (it measures this
+    /// host's tiers), so the binary's baseline tolerance is looser than the
+    /// kernel-level gates'.
     #[derive(Debug, Clone, PartialEq)]
     pub struct AutotuneResult {
         /// `"{nd}x{nm}x{nt}"`.
@@ -781,163 +650,56 @@ pub mod autotunejson {
         }
     }
 
-    /// Render the full document (`mode` = `"quick"` or `"full"`).
-    pub fn format_document(mode: &str, results: &[AutotuneResult]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-        out.push_str("  \"unit\": \"ns_per_apply\",\n");
-        out.push_str("  \"results\": [\n");
-        for (i, r) in results.iter().enumerate() {
-            let sep = if i + 1 == results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"shape\": \"{}\", \"direction\": \"{}\", \"budget\": {:e}, \
-                 \"config\": \"{}\", \"bound\": {:.3e}, \"measured_error\": {:.3e}, \
-                 \"double_ns\": {:.1}, \"tuned_ns\": {:.1}, \"speedup\": {:.3}}}{}\n",
-                r.shape,
-                r.direction,
-                r.budget,
-                r.config,
-                r.bound,
-                r.measured_error,
-                r.double_ns,
-                r.tuned_ns,
-                r.speedup(),
-                sep
-            ));
+    impl Row for AutotuneResult {
+        const UNIT: &'static str = "ns_per_apply";
+        const STATISTIC: &'static str = "speedup";
+        const HIGHER_IS_BETTER: bool = true;
+
+        fn render(&self) -> String {
+            format!(
+                "\"shape\": \"{}\", \"direction\": \"{}\", \"budget\": {:e}, \"config\": \"{}\", \
+                 \"bound\": {:.3e}, \"measured_error\": {:.3e}, \"double_ns\": {:.1}, \
+                 \"tuned_ns\": {:.1}, \"speedup\": {:.3}",
+                self.shape,
+                self.direction,
+                self.budget,
+                self.config,
+                self.bound,
+                self.measured_error,
+                self.double_ns,
+                self.tuned_ns,
+                self.speedup()
+            )
         }
-        out.push_str("  ]\n}\n");
-        out
-    }
 
-    /// Extract the value following `"key":` on `line`, up to `,` or `}`.
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let tag = format!("\"{key}\":");
-        let start = line.find(&tag)? + tag.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-
-    /// Parse every result line of a document produced by
-    /// [`format_document`] (the redundant `speedup` field is recomputed,
-    /// not trusted).
-    pub fn parse_document(text: &str) -> Vec<AutotuneResult> {
-        text.lines()
-            .filter_map(|line| {
-                Some(AutotuneResult {
-                    shape: field(line, "shape")?.to_string(),
-                    direction: field(line, "direction")?.to_string(),
-                    budget: field(line, "budget")?.parse().ok()?,
-                    config: field(line, "config")?.to_string(),
-                    bound: field(line, "bound")?.parse().ok()?,
-                    measured_error: field(line, "measured_error")?.parse().ok()?,
-                    double_ns: field(line, "double_ns")?.parse().ok()?,
-                    tuned_ns: field(line, "tuned_ns")?.parse().ok()?,
-                })
+        fn parse(line: &str) -> Option<Self> {
+            Some(AutotuneResult {
+                shape: field(line, "shape")?.into(),
+                direction: field(line, "direction")?.into(),
+                budget: num(line, "budget")?,
+                config: field(line, "config")?.into(),
+                bound: num(line, "bound")?,
+                measured_error: num(line, "measured_error")?,
+                double_ns: num(line, "double_ns")?,
+                tuned_ns: num(line, "tuned_ns")?,
             })
-            .collect()
-    }
-
-    /// Number of baseline rows the gate can enforce. 0 means a broken
-    /// baseline — callers should fail on it, not report success.
-    pub fn gated_count(baseline: &[AutotuneResult]) -> usize {
-        baseline.len()
-    }
-
-    /// Rows whose measured error exceeds the budget they were tuned
-    /// for — the promise the autotuner must never break, on any host.
-    pub fn promise_failures(doc: &[AutotuneResult]) -> Vec<String> {
-        doc.iter()
-            .filter(|r| r.measured_error > r.budget || r.measured_error.is_nan())
-            .map(|r| {
-                format!(
-                    "shape={} direction={} budget={:e}: config {} measured {:.3e} \
-                     over its budget",
-                    r.shape, r.direction, r.budget, r.config, r.measured_error
-                )
-            })
-            .collect()
-    }
-
-    /// Rows where the autotuned configuration ran materially slower
-    /// than all-double (`tuned_ns > double_ns · margin`). All-double is
-    /// always admissible, so picking something slower means the cost
-    /// order was wrong.
-    pub fn no_slower_failures(doc: &[AutotuneResult], margin: f64) -> Vec<String> {
-        doc.iter()
-            .filter(|r| r.tuned_ns > r.double_ns * margin)
-            .map(|r| {
-                format!(
-                    "shape={} direction={} budget={:e}: config {} at {:.0} ns/apply is \
-                     slower than all-double at {:.0} ns/apply (margin {:.2}x)",
-                    r.shape, r.direction, r.budget, r.config, r.tuned_ns, r.double_ns, margin
-                )
-            })
-            .collect()
-    }
-
-    /// Compare `current` against `baseline`: every baseline row's
-    /// speedup must be matched within `tol`. Missing rows fail. Returns
-    /// human-readable failure lines; empty = pass.
-    pub fn regressions(
-        current: &[AutotuneResult],
-        baseline: &[AutotuneResult],
-        tol: f64,
-    ) -> Vec<String> {
-        let mut failures = Vec::new();
-        for b in baseline {
-            let Some(c) = current
-                .iter()
-                .find(|c| c.shape == b.shape && c.direction == b.direction && c.budget == b.budget)
-            else {
-                failures.push(format!(
-                    "missing result for shape={} direction={} budget={:e}",
-                    b.shape, b.direction, b.budget
-                ));
-                continue;
-            };
-            let ratio = b.speedup() / c.speedup();
-            if ratio > tol {
-                failures.push(format!(
-                    "shape={} direction={} budget={:e}: speedup {:.2}x vs baseline {:.2}x \
-                     ({:.2}x > {:.2}x budget)",
-                    b.shape,
-                    b.direction,
-                    b.budget,
-                    c.speedup(),
-                    b.speedup(),
-                    ratio,
-                    tol
-                ));
-            }
         }
-        failures
-    }
-}
 
-/// Machine-readable multi-level Toeplitz records: the
-/// `BENCH_toeplitz.json` / `bench/baseline_toeplitz.json` format the CI
-/// `bench-smoke` job produces and gates on. Same line-oriented JSON
-/// convention as [`benchjson`]; rows are keyed by `(shape, direction)`
-/// where `shape` is the two-level extents
-/// `"{or}x{oc}x{ir}x{ic}"`.
-///
-/// Three gate statistics per row:
-/// * **scratch** (absolute, any host): the split-FFT path's peak
-///   workspace bytes must be at most `max_ratio` (shipped bar `0.75`)
-///   of the full embedding's — the whole point of the memory-optimized
-///   construction, measured from the operators' own pool diagnostics,
-///   so it cannot drift with timing noise;
-/// * **speedup** (baseline-normalized): dense ns divided by FFT-path ns
-///   is a same-session ratio — machine speed cancels, so a CI runner
-///   gates against a baseline committed from different hardware;
-/// * the differential check itself (FFT within ulp budget of dense)
-///   lives in the binary, not the document — a row only exists if it
-///   passed.
-pub mod toeplitzjson {
-    /// One measured two-level operating point.
+        fn key(&self) -> String {
+            format!("shape={} direction={} budget={:e}", self.shape, self.direction, self.budget)
+        }
+
+        fn statistic(&self, _doc: &[Self]) -> Option<f64> {
+            Some(self.speedup())
+        }
+    }
+
+    /// One measured two-level operating point (`BENCH_toeplitz.json` /
+    /// `bench/baseline_toeplitz.json`, written by `bench_toeplitz`). Rows
+    /// are keyed by `(shape, direction)`; the statistic is the dense/full
+    /// [`full_speedup`](ToeplitzResult::full_speedup). The differential
+    /// check (FFT paths within ulp budget of dense) lives in the binary,
+    /// not the document — a row only exists if it passed.
     #[derive(Debug, Clone, PartialEq)]
     pub struct ToeplitzResult {
         /// Two-level extents as `"{or}x{oc}x{ir}x{ic}"`.
@@ -976,154 +738,55 @@ pub mod toeplitzjson {
         }
     }
 
-    /// Render the full document (`mode` = `"quick"` or `"full"`).
-    pub fn format_document(mode: &str, results: &[ToeplitzResult]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-        out.push_str("  \"unit\": \"ns_per_apply\",\n");
-        out.push_str("  \"results\": [\n");
-        for (i, r) in results.iter().enumerate() {
-            let sep = if i + 1 == results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"shape\": \"{}\", \"direction\": \"{}\", \"full_ns\": {:.1}, \
+    impl Row for ToeplitzResult {
+        const UNIT: &'static str = "ns_per_apply";
+        const STATISTIC: &'static str = "dense/full speedup";
+        const HIGHER_IS_BETTER: bool = true;
+
+        fn render(&self) -> String {
+            format!(
+                "\"shape\": \"{}\", \"direction\": \"{}\", \"full_ns\": {:.1}, \
                  \"split_ns\": {:.1}, \"dense_ns\": {:.1}, \"full_peak_bytes\": {}, \
-                 \"split_peak_bytes\": {}, \"full_speedup\": {:.3}, \
-                 \"scratch_ratio\": {:.3}}}{}\n",
-                r.shape,
-                r.direction,
-                r.full_ns,
-                r.split_ns,
-                r.dense_ns,
-                r.full_peak_bytes,
-                r.split_peak_bytes,
-                r.full_speedup(),
-                r.scratch_ratio(),
-                sep
-            ));
+                 \"split_peak_bytes\": {}, \"full_speedup\": {:.3}, \"scratch_ratio\": {:.3}",
+                self.shape,
+                self.direction,
+                self.full_ns,
+                self.split_ns,
+                self.dense_ns,
+                self.full_peak_bytes,
+                self.split_peak_bytes,
+                self.full_speedup(),
+                self.scratch_ratio()
+            )
         }
-        out.push_str("  ]\n}\n");
-        out
-    }
 
-    /// Extract the value following `"key":` on `line`, up to `,` or `}`.
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let tag = format!("\"{key}\":");
-        let start = line.find(&tag)? + tag.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-
-    /// Parse every result line of a document produced by
-    /// [`format_document`] (the redundant derived fields are recomputed,
-    /// not trusted).
-    pub fn parse_document(text: &str) -> Vec<ToeplitzResult> {
-        text.lines()
-            .filter_map(|line| {
-                Some(ToeplitzResult {
-                    shape: field(line, "shape")?.to_string(),
-                    direction: field(line, "direction")?.to_string(),
-                    full_ns: field(line, "full_ns")?.parse().ok()?,
-                    split_ns: field(line, "split_ns")?.parse().ok()?,
-                    dense_ns: field(line, "dense_ns")?.parse().ok()?,
-                    full_peak_bytes: field(line, "full_peak_bytes")?.parse().ok()?,
-                    split_peak_bytes: field(line, "split_peak_bytes")?.parse().ok()?,
-                })
+        fn parse(line: &str) -> Option<Self> {
+            Some(ToeplitzResult {
+                shape: field(line, "shape")?.into(),
+                direction: field(line, "direction")?.into(),
+                full_ns: num(line, "full_ns")?,
+                split_ns: num(line, "split_ns")?,
+                dense_ns: num(line, "dense_ns")?,
+                full_peak_bytes: num(line, "full_peak_bytes")?,
+                split_peak_bytes: num(line, "split_peak_bytes")?,
             })
-            .collect()
-    }
-
-    /// Number of baseline rows the gate can enforce. 0 means a broken
-    /// baseline — callers should fail on it, not report success.
-    pub fn gated_count(baseline: &[ToeplitzResult]) -> usize {
-        baseline.len()
-    }
-
-    /// The absolute memory gate: rows where the split-FFT path's peak
-    /// workspace exceeds `max_ratio` of the full embedding's. This is
-    /// the split path's reason to exist, and it is measured from pool
-    /// diagnostics (deterministic byte counts), so the shipped bar of
-    /// `0.75` holds on any host.
-    pub fn scratch_failures(doc: &[ToeplitzResult], max_ratio: f64) -> Vec<String> {
-        doc.iter()
-            .filter(|r| {
-                let ratio = r.scratch_ratio();
-                ratio.is_nan() || ratio > max_ratio
-            })
-            .map(|r| {
-                format!(
-                    "shape={} direction={}: split peak {} B is {:.2}x the full peak {} B \
-                     (> {:.2}x budget)",
-                    r.shape,
-                    r.direction,
-                    r.split_peak_bytes,
-                    r.scratch_ratio(),
-                    r.full_peak_bytes,
-                    max_ratio
-                )
-            })
-            .collect()
-    }
-
-    /// Compare `current` against `baseline`: every baseline row's
-    /// dense/full speedup must be matched within `tol` (e.g. `1.5` =
-    /// the current speedup may be at most 33% below the committed one).
-    /// Missing rows fail. Returns human-readable failure lines; empty =
-    /// pass.
-    pub fn regressions(
-        current: &[ToeplitzResult],
-        baseline: &[ToeplitzResult],
-        tol: f64,
-    ) -> Vec<String> {
-        let mut failures = Vec::new();
-        for b in baseline {
-            let Some(c) = current.iter().find(|c| c.shape == b.shape && c.direction == b.direction)
-            else {
-                failures.push(format!(
-                    "missing result for shape={} direction={}",
-                    b.shape, b.direction
-                ));
-                continue;
-            };
-            let ratio = b.full_speedup() / c.full_speedup();
-            if ratio > tol {
-                failures.push(format!(
-                    "shape={} direction={}: dense/full speedup {:.2}x vs baseline {:.2}x \
-                     ({:.2}x > {:.2}x budget)",
-                    b.shape,
-                    b.direction,
-                    c.full_speedup(),
-                    b.full_speedup(),
-                    ratio,
-                    tol
-                ));
-            }
         }
-        failures
-    }
-}
 
-/// Machine-readable backend-dispatch records: the `BENCH_backend.json` /
-/// `bench/baseline_backend.json` format the CI `bench-smoke` job
-/// produces and gates on. Same line-oriented JSON convention as
-/// [`benchjson`]; rows are keyed by `(primitive, precision)`. Both legs
-/// of every row are measured interleaved in one session — the direct
-/// call path (concrete types, no virtual dispatch) against the same
-/// kernel reached through `Arc<dyn DeviceBackend>` / `Arc<dyn BatchFft>`
-/// — so the gate statistic, the trait/direct overhead ratio, cancels
-/// machine speed like the other gates' normalized costs.
-///
-/// Two checks, mirroring `bench_simd`:
-/// * **ceiling** (absolute, any host): every row's overhead must stay
-///   under `-max` (the shipped bar is `1.05` — the trait boundary adds
-///   one vtable hop plus enum tier/length validation per *batched*
-///   call, which real workloads amortize to noise);
-/// * **baseline**: every row's overhead must stay within `-tol` of the
-///   committed `bench/baseline_backend.json`.
-pub mod backendjson {
-    /// One measured dispatch data point.
+        fn key(&self) -> String {
+            format!("shape={} direction={}", self.shape, self.direction)
+        }
+
+        fn statistic(&self, _doc: &[Self]) -> Option<f64> {
+            Some(self.full_speedup())
+        }
+    }
+
+    /// One measured dispatch data point (`BENCH_backend.json` /
+    /// `bench/baseline_backend.json`, written by `bench_backend`). Rows
+    /// are keyed by `(primitive, precision)`; both legs — the direct call
+    /// path and the same kernel reached through `Arc<dyn DeviceBackend>` /
+    /// `Arc<dyn BatchFft>` — are measured interleaved, and the statistic is
+    /// the trait/direct [`overhead`](BackendResult::overhead).
     #[derive(Debug, Clone, PartialEq)]
     pub struct BackendResult {
         /// Primitive under test: `"fft_forward"`, `"fft_inverse"`,
@@ -1146,132 +809,49 @@ pub mod backendjson {
         }
     }
 
-    /// Render the full document (`mode` = `"quick"` or `"full"`).
-    pub fn format_document(mode: &str, results: &[BackendResult]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-        out.push_str("  \"unit\": \"ns_per_call\",\n");
-        out.push_str("  \"results\": [\n");
-        for (i, r) in results.iter().enumerate() {
-            let sep = if i + 1 == results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"primitive\": \"{}\", \"precision\": \"{}\", \
-                 \"direct_ns\": {:.1}, \"trait_ns\": {:.1}, \"overhead\": {:.4}}}{}\n",
-                r.primitive,
-                r.precision,
-                r.direct_ns,
-                r.trait_ns,
-                r.overhead(),
-                sep
-            ));
+    impl Row for BackendResult {
+        const UNIT: &'static str = "ns_per_call";
+        const STATISTIC: &'static str = "trait/direct overhead";
+        const HIGHER_IS_BETTER: bool = false;
+
+        fn render(&self) -> String {
+            format!(
+                "\"primitive\": \"{}\", \"precision\": \"{}\", \"direct_ns\": {:.1}, \
+                 \"trait_ns\": {:.1}, \"overhead\": {:.4}",
+                self.primitive,
+                self.precision,
+                self.direct_ns,
+                self.trait_ns,
+                self.overhead()
+            )
         }
-        out.push_str("  ]\n}\n");
-        out
-    }
 
-    /// Extract the value following `"key":` on `line`, up to `,` or `}`.
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let tag = format!("\"{key}\":");
-        let start = line.find(&tag)? + tag.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-
-    /// Parse every result line of a document produced by
-    /// [`format_document`] (the redundant `overhead` field is recomputed,
-    /// not trusted).
-    pub fn parse_document(text: &str) -> Vec<BackendResult> {
-        text.lines()
-            .filter_map(|line| {
-                Some(BackendResult {
-                    primitive: field(line, "primitive")?.to_string(),
-                    precision: field(line, "precision")?.to_string(),
-                    direct_ns: field(line, "direct_ns")?.parse().ok()?,
-                    trait_ns: field(line, "trait_ns")?.parse().ok()?,
-                })
+        fn parse(line: &str) -> Option<Self> {
+            Some(BackendResult {
+                primitive: field(line, "primitive")?.into(),
+                precision: field(line, "precision")?.into(),
+                direct_ns: num(line, "direct_ns")?,
+                trait_ns: num(line, "trait_ns")?,
             })
-            .collect()
-    }
-
-    /// Number of baseline rows the gate can enforce. 0 means a broken
-    /// baseline — callers should fail on it, not report success.
-    pub fn gated_count(baseline: &[BackendResult]) -> usize {
-        baseline.len()
-    }
-
-    /// The absolute ceiling gate: rows whose trait-dispatch overhead
-    /// exceeds `max_overhead`. Returns failure lines; empty = pass.
-    pub fn overhead_failures(doc: &[BackendResult], max_overhead: f64) -> Vec<String> {
-        doc.iter()
-            // NaN-safe: an incomparable (NaN) overhead must fail the gate,
-            // so only a definite <= passes.
-            .filter(|r| {
-                !matches!(
-                    r.overhead().partial_cmp(&max_overhead),
-                    Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-                )
-            })
-            .map(|r| {
-                format!(
-                    "primitive={} precision={}: trait path {:.3}x the direct path \
-                     (> {:.2}x ceiling)",
-                    r.primitive,
-                    r.precision,
-                    r.overhead(),
-                    max_overhead
-                )
-            })
-            .collect()
-    }
-
-    /// Compare `current` against `baseline`: every baseline row's
-    /// overhead must be matched within `tol` (e.g. `1.05` = the current
-    /// overhead may exceed the committed one by at most 5%). Missing
-    /// rows fail. Returns human-readable failure lines; empty = pass.
-    pub fn regressions(
-        current: &[BackendResult],
-        baseline: &[BackendResult],
-        tol: f64,
-    ) -> Vec<String> {
-        let mut failures = Vec::new();
-        for b in baseline {
-            let Some(c) =
-                current.iter().find(|c| c.primitive == b.primitive && c.precision == b.precision)
-            else {
-                failures.push(format!(
-                    "missing result for primitive={} precision={}",
-                    b.primitive, b.precision
-                ));
-                continue;
-            };
-            let ratio = c.overhead() / b.overhead();
-            if ratio > tol {
-                failures.push(format!(
-                    "primitive={} precision={}: overhead {:.3}x vs baseline {:.3}x \
-                     ({:.2}x > {:.2}x budget)",
-                    b.primitive,
-                    b.precision,
-                    c.overhead(),
-                    b.overhead(),
-                    ratio,
-                    tol
-                ));
-            }
         }
-        failures
+
+        fn key(&self) -> String {
+            format!("primitive={} precision={}", self.primitive, self.precision)
+        }
+
+        fn statistic(&self, _doc: &[Self]) -> Option<f64> {
+            Some(self.overhead())
+        }
     }
 }
 
+/// Print a horizontal rule sized to a header line.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
-/// Shared micro-benchmark timing used by every gate binary
-/// (`bench_fft`, `bench_matvec`, `bench_speedup`): batch calibration and
-/// interleaved min-of-samples measurement.
+/// Shared micro-benchmark timing used by every `bench_*` gate binary:
+/// batch calibration and interleaved min-of-samples measurement.
 pub mod timing {
     use std::time::Instant;
 
@@ -1414,10 +994,10 @@ pub mod digest {
         h.finish()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchdoc::*;
 
     #[test]
     fn operator_builder() {
@@ -1473,45 +1053,107 @@ mod tests {
     }
 
     #[test]
+    fn flag_values_parse_or_name_the_flag() {
+        let raw = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        // The flag matches case-insensitively; an absent flag is no error.
+        assert_eq!(flag_value::<usize>(&raw("-quick -NT 12"), "nt"), Ok(Some(12)));
+        assert_eq!(flag_value::<f64>(&raw("-quick"), "tol"), Ok(None));
+        // A present flag with a missing or unparsable value is one.
+        let missing = flag_value::<String>(&raw("-out x.json -check"), "check").unwrap_err();
+        assert!(missing.contains("-check"), "{missing}");
+        let bad = flag_value::<f64>(&raw("-tol 1,5"), "tol").unwrap_err();
+        assert!(bad.contains("-tol") && bad.contains("1,5"), "{bad}");
+    }
+
+    /// The shared checks every document kind goes through: `doc`
+    /// round-trips through render and parse (the envelope is not read as
+    /// a row), `gated` of its rows carry a statistic, and each
+    /// `(current, baseline, tol, n)` case yields exactly `n` regression
+    /// failures.
+    fn assert_gates<R: Row + PartialEq + std::fmt::Debug>(
+        doc: &[R],
+        gated: usize,
+        cases: &[(&[R], &[R], f64, usize)],
+    ) {
+        let text = format_document("quick", doc);
+        assert!(text.contains("\"mode\": \"quick\""));
+        assert_eq!(parse_document::<R>(&text), doc);
+        assert_eq!(gated_count(doc), gated);
+        for (i, &(current, baseline, tol, n)) in cases.iter().enumerate() {
+            let failures = regressions(current, baseline, tol);
+            assert_eq!(failures.len(), n, "case {i}: {failures:?}");
+        }
+    }
+
+    /// `nan` is the passing document `good` with one row's statistic
+    /// turned NaN: it fails the baseline gate on either side, and an
+    /// absolute limit every finite statistic meets.
+    fn assert_nan_fails<R: Row>(good: &[R], nan: &[R]) {
+        let limit = |d: &[R]| limit_failures(d, R::STATISTIC, 0.0.., |r| r.statistic(d)).len();
+        assert_eq!((regressions(good, good, 1.25).len(), limit(good)), (0, 0));
+        assert_eq!(regressions(nan, good, 1.25).len(), 1, "NaN current");
+        assert_eq!(regressions(good, nan, 1.25).len(), 1, "NaN baseline");
+        assert_eq!(limit(nan), 1, "NaN limit");
+    }
+
+    fn bench_row(size: usize, precision: &str, engine: &str, ns: f64) -> BenchResult {
+        BenchResult {
+            size,
+            precision: precision.into(),
+            engine: engine.into(),
+            threads: 4,
+            ns_per_transform: ns,
+        }
+    }
+
+    #[test]
     fn benchjson_roundtrip() {
-        use crate::benchjson::*;
-        let results = vec![
-            BenchResult {
-                size: 1024,
-                precision: "f64".into(),
-                engine: "iterative".into(),
-                threads: 4,
-                ns_per_transform: 1234.5,
-            },
-            BenchResult {
-                size: 2048,
-                precision: "f32".into(),
-                engine: "recursive".into(),
-                threads: 4,
-                ns_per_transform: 99.0,
-            },
+        let doc = [
+            bench_row(1024, "f64", "iterative", 1234.5),
+            bench_row(2048, "f32", "recursive", 99.0),
         ];
-        let doc = format_document("quick", &results);
-        assert!(doc.contains("\"mode\": \"quick\""));
-        let parsed = parse_document(&doc);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].size, 1024);
-        assert_eq!(parsed[0].engine, "iterative");
-        assert_eq!(parsed[0].threads, 4);
-        assert_eq!(parsed[1].precision, "f32");
-        assert!((parsed[0].ns_per_transform - 1234.5).abs() < 0.11);
+        // Different keys: no iterative/recursive pair, nothing gated.
+        assert_gates(&doc, 0, &[]);
         // Pre-thread-column lines (sequential-shim era) parse with
         // threads defaulting to 1.
         let legacy = "{\"size\": 8, \"precision\": \"f64\", \"engine\": \"iterative\", \
                       \"ns_per_transform\": 10.0}";
-        let parsed = parse_document(legacy);
+        let parsed = parse_document::<BenchResult>(legacy);
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].threads, 1);
     }
 
     #[test]
+    fn benchjson_regression_gate() {
+        let pair = |it: f64, rec: f64| {
+            vec![bench_row(1024, "f64", "iterative", it), bench_row(1024, "f64", "recursive", rec)]
+        };
+        // Baseline: iterative is 2x faster than recursive (cost 0.5).
+        let base = pair(1000.0, 2000.0);
+        assert_gates(
+            &base,
+            1,
+            &[
+                // A uniformly slower machine (both engines 3x slower)
+                // still passes: the normalized cost is unchanged.
+                (&pair(3000.0, 6000.0), &base, 1.25, 0),
+                // 20% relative slowdown of the iterative engine passes...
+                (&pair(1200.0, 2000.0), &base, 1.25, 0),
+                // ...30% fails, even though the machine could be fast.
+                (&pair(650.0, 1000.0), &base, 1.25, 1),
+                // Missing entries fail.
+                (&[], &base, 1.25, 1),
+                // A baseline without the recursive reference is ungated...
+                (&[], &base[..1], 1.25, 0),
+            ],
+        );
+        // ...and gated_count exposes that so callers can refuse it.
+        assert_eq!(gated_count(&base[..1]), 0, "iterative-only baseline gates nothing");
+        assert_nan_fails(&base, &pair(f64::NAN, 2000.0));
+    }
+
+    #[test]
     fn matvecjson_roundtrip_and_gates() {
-        use crate::matvecjson::*;
         let row = |path: &str, ns: f64| MatvecResult {
             shape: "4x250x100".into(),
             config: "dssdd".into(),
@@ -1520,27 +1162,32 @@ mod tests {
             threads: 1,
             ns_per_apply: ns,
         };
-        let doc = vec![row("alloc", 1000.0), row("into", 900.0)];
-        let text = format_document("quick", &doc);
-        assert_eq!(parse_document(&text), doc);
-        assert_eq!(gated_count(&doc), 1);
-        // into faster than alloc: both gates pass.
-        assert!(into_slower_than_alloc(&doc, 1.05).is_empty());
-        assert!(regressions(&doc, &doc, 1.25).is_empty());
-        // into slower than alloc: the acceptance check fires.
-        let bad = vec![row("alloc", 1000.0), row("into", 1200.0)];
-        assert_eq!(into_slower_than_alloc(&bad, 1.05).len(), 1);
-        // Relative regression vs baseline fires even on a faster machine.
-        let slower = vec![row("alloc", 500.0), row("into", 640.0)];
-        assert_eq!(regressions(&slower, &doc, 1.25).len(), 1);
-        // Missing pair is a failure; alloc-only baseline gates nothing.
-        assert_eq!(regressions(&[], &doc, 1.25).len(), 1);
+        let doc = [row("alloc", 1000.0), row("into", 900.0)];
+        assert_gates(
+            &doc,
+            1,
+            &[
+                (&doc, &doc, 1.25, 0),
+                // Relative regression vs baseline fires even on a faster
+                // machine.
+                (&[row("alloc", 500.0), row("into", 640.0)], &doc, 1.25, 1),
+                // A missing pair is a failure.
+                (&[], &doc, 1.25, 1),
+            ],
+        );
+        // An alloc-only baseline gates nothing.
         assert_eq!(gated_count(&doc[..1]), 0);
+        assert_nan_fails(&doc, &[row("alloc", 1000.0), row("into", f64::NAN)]);
+        // The into-vs-alloc ceiling: into faster than alloc passes, into
+        // slower than alloc fires.
+        let into_alloc =
+            |d: &[MatvecResult]| limit_failures(d, "into/alloc", ..=1.05, |r| r.statistic(d));
+        assert!(into_alloc(&doc).is_empty());
+        assert_eq!(into_alloc(&[row("alloc", 1000.0), row("into", 1200.0)]).len(), 1);
     }
 
     #[test]
     fn simdjson_roundtrip_and_gate() {
-        use crate::simdjson::*;
         let row = |kernel: &str, portable: f64, simd: f64| SimdResult {
             kernel: kernel.into(),
             precision: "f16".into(),
@@ -1548,26 +1195,30 @@ mod tests {
             portable_ns: portable,
             simd_ns: simd,
         };
-        let doc = vec![row("convert_widen", 4000.0, 1000.0), row("fft_forward", 3000.0, 2000.0)];
-        let text = format_document("quick", &doc);
-        assert!(text.contains("\"speedup\": 4.000"));
-        assert_eq!(parse_document(&text), doc);
-        assert_eq!(gated_count(&doc), 2);
-        // Identical run passes; a uniformly slower machine passes too
-        // (the speedup is a same-session ratio).
-        assert!(regressions(&doc, &doc, 1.25).is_empty());
-        let slower = vec![row("convert_widen", 8000.0, 2000.0), row("fft_forward", 6000.0, 4000.0)];
-        assert!(regressions(&slower, &doc, 1.25).is_empty());
-        // Losing more than the budget of the committed speedup fails.
-        let faded = vec![row("convert_widen", 4000.0, 2000.0), row("fft_forward", 3000.0, 2000.0)];
-        assert_eq!(regressions(&faded, &doc, 1.25).len(), 1);
-        // Missing rows fail.
-        assert_eq!(regressions(&doc[..1], &doc, 1.25).len(), 1);
+        let doc = [row("convert_widen", 4000.0, 1000.0), row("fft_forward", 3000.0, 2000.0)];
+        let slower = [row("convert_widen", 8000.0, 2000.0), row("fft_forward", 6000.0, 4000.0)];
+        let faded = [row("convert_widen", 4000.0, 2000.0), row("fft_forward", 3000.0, 2000.0)];
+        assert!(format_document("quick", &doc).contains("\"speedup\": 4.000"));
+        assert_gates(
+            &doc,
+            2,
+            &[
+                // Identical run passes; a uniformly slower machine passes
+                // too (the speedup is a same-session ratio).
+                (&doc, &doc, 1.25, 0),
+                (&slower, &doc, 1.25, 0),
+                // Losing more than the budget of the committed speedup
+                // fails.
+                (&faded, &doc, 1.25, 1),
+                // Missing rows fail.
+                (&doc[..1], &doc, 1.25, 1),
+            ],
+        );
+        assert_nan_fails(&doc, &[doc[0].clone(), row("fft_forward", 3000.0, f64::NAN)]);
     }
 
     #[test]
     fn servicejson_roundtrip_and_gates() {
-        use crate::servicejson::*;
         let row = |mode: &str, max_batch: usize, thr: f64, occ: f64| ServiceResult {
             shape: "8x64x256".into(),
             mode: mode.into(),
@@ -1581,35 +1232,85 @@ mod tests {
             completed: 400,
             rejected: 12,
         };
-        let doc = vec![row("coalesced", 32, 5400.0, 18.0), row("batch1", 1, 2700.0, 1.0)];
-        let text = format_document("full", &doc);
-        assert!(text.contains("\"throughput_rps\": 5400.0"));
-        assert_eq!(parse_document(&text), doc);
-        assert_eq!(gated_count(&doc), 1);
-        assert!((coalescing_speedup(&doc, "8x64x256").unwrap() - 2.0).abs() < 1e-12);
-        // Same doc vs itself passes; so does a uniformly slower machine
-        // (the speedup is a same-session ratio).
-        assert!(regressions(&doc, &doc, 1.25).is_empty());
-        let slower = vec![row("coalesced", 32, 540.0, 18.0), row("batch1", 1, 270.0, 1.0)];
-        assert!(regressions(&slower, &doc, 1.25).is_empty());
-        // Losing more than the budget of the committed speedup fails.
-        let faded = vec![row("coalesced", 32, 3000.0, 18.0), row("batch1", 1, 2700.0, 1.0)];
-        assert_eq!(regressions(&faded, &doc, 1.25).len(), 1);
-        // Missing pairs fail; a one-mode baseline gates nothing.
-        assert_eq!(regressions(&[], &doc, 1.25).len(), 1);
+        let doc = [row("coalesced", 32, 5400.0, 18.0), row("batch1", 1, 2700.0, 1.0)];
+        let slower = [row("coalesced", 32, 540.0, 18.0), row("batch1", 1, 270.0, 1.0)];
+        let faded = [row("coalesced", 32, 3000.0, 18.0), row("batch1", 1, 2700.0, 1.0)];
+        assert!(format_document("full", &doc).contains("\"throughput_rps\": 5400.0"));
+        assert!((doc[0].statistic(&doc).unwrap() - 2.0).abs() < 1e-12);
+        // `assert_gates` round-trips exactly these two rows: the
+        // envelope's own `"mode"` line is not read as one.
+        assert_gates(
+            &doc,
+            1,
+            &[
+                // Same doc vs itself passes; so does a uniformly slower
+                // machine (the speedup is a same-session ratio).
+                (&doc, &doc, 1.25, 0),
+                (&slower, &doc, 1.25, 0),
+                // Losing more than the budget of the committed speedup
+                // fails.
+                (&faded, &doc, 1.25, 1),
+                // Missing pairs fail.
+                (&[], &doc, 1.25, 1),
+            ],
+        );
+        // A one-mode baseline gates nothing.
         assert_eq!(gated_count(&doc[..1]), 0);
+        assert_nan_fails(&doc, &[row("coalesced", 32, f64::NAN, 18.0), doc[1].clone()]);
         // Absolute saturation bar: 2.0x passes 1.5, 1.1x fails.
-        assert!(saturation_failures(&doc, 1.5).is_empty());
-        assert_eq!(saturation_failures(&faded, 1.5).len(), 1);
-        // Occupancy bar: 18/32 passes 25%, 5/32 fails.
-        assert!(occupancy_failures(&doc, 0.25).is_empty());
-        let trickle = vec![row("coalesced", 32, 5400.0, 5.0), row("batch1", 1, 2700.0, 1.0)];
-        assert_eq!(occupancy_failures(&trickle, 0.25).len(), 1);
+        let saturation = |d: &[ServiceResult]| {
+            limit_failures(d, "coalescing speedup", 1.5.., |r| r.statistic(d)).len()
+        };
+        assert_eq!((saturation(&doc), saturation(&faded)), (0, 1));
+        // Occupancy bar: 18/32 passes 25%; 5/32 and a NaN mean fail.
+        let occupancy = |occ: f64| {
+            let d = [row("coalesced", 32, 5400.0, occ), row("batch1", 1, 2700.0, 1.0)];
+            limit_failures(&d, "window occupancy", 0.25.., |r| r.occupancy()).len()
+        };
+        assert_eq!((occupancy(18.0), occupancy(5.0), occupancy(f64::NAN)), (0, 1, 1));
+    }
+
+    #[test]
+    fn autotunejson_roundtrip_and_gates() {
+        let row = |budget: f64, measured_error: f64, tuned_ns: f64| AutotuneResult {
+            shape: "4x128x128".into(),
+            direction: "adjoint".into(),
+            budget,
+            config: "dssdd".into(),
+            bound: 1e-4,
+            measured_error,
+            double_ns: 2000.0,
+            tuned_ns,
+        };
+        let doc = [row(1e-3, 1e-5, 1000.0), row(1e-12, 0.0, 2000.0)];
+        assert_gates(
+            &doc,
+            2,
+            &[
+                (&doc, &doc, 1.5, 0),
+                // Budgets are part of the key: a speedup lost past the
+                // budget at one of them fails, a missing one fails.
+                (&[row(1e-3, 1e-5, 1600.0), doc[1].clone()], &doc, 1.5, 1),
+                (&doc[..1], &doc, 1.5, 1),
+            ],
+        );
+        assert_nan_fails(&doc, &[row(1e-3, 1e-5, f64::NAN), doc[1].clone()]);
+        // The promise (measured error within budget) and no-slower
+        // (within the margin of all-double) gates, NaN failing both.
+        let promise = |e: f64| {
+            let d = [row(1e-3, e, 1000.0)];
+            limit_failures(&d, "error/budget", ..=1.0, |r| Some(r.measured_error / r.budget)).len()
+        };
+        assert_eq!((promise(1e-3), promise(2e-3), promise(f64::NAN)), (0, 1, 1));
+        let no_slower = |ns: f64| {
+            let d = [row(1e-3, 1e-5, ns)];
+            limit_failures(&d, "tuned/double", ..=1.10, |r| Some(r.tuned_ns / r.double_ns)).len()
+        };
+        assert_eq!((no_slower(2100.0), no_slower(2400.0), no_slower(f64::NAN)), (0, 1, 1));
     }
 
     #[test]
     fn toeplitzjson_roundtrip_and_gates() {
-        use crate::toeplitzjson::*;
         let row =
             |dir: &str, full: f64, split: f64, dense: f64, fp: usize, sp: usize| ToeplitzResult {
                 shape: "16x16x16x16".into(),
@@ -1620,73 +1321,68 @@ mod tests {
                 full_peak_bytes: fp,
                 split_peak_bytes: sp,
             };
-        let doc = vec![
+        let doc = [
             row("forward", 1000.0, 1400.0, 8000.0, 32768, 16384),
             row("adjoint", 1100.0, 1500.0, 8000.0, 32768, 16384),
         ];
         let text = format_document("quick", &doc);
         assert!(text.contains("\"full_speedup\": 8.000"));
         assert!(text.contains("\"scratch_ratio\": 0.500"));
-        assert_eq!(parse_document(&text), doc);
-        assert_eq!(gated_count(&doc), 2);
-        // Half the scratch clears the 0.75 bar; parity does not.
-        assert!(scratch_failures(&doc, 0.75).is_empty());
-        let bloated = vec![row("forward", 1000.0, 1400.0, 8000.0, 32768, 32768)];
-        assert_eq!(scratch_failures(&bloated, 0.75).len(), 1);
-        // Identical run passes; a uniformly slower machine passes too
-        // (the speedup is a same-session ratio).
-        assert!(regressions(&doc, &doc, 1.5).is_empty());
-        let slower = vec![
+        let slower = [
             row("forward", 3000.0, 4200.0, 24000.0, 32768, 16384),
             row("adjoint", 3300.0, 4500.0, 24000.0, 32768, 16384),
         ];
-        assert!(regressions(&slower, &doc, 1.5).is_empty());
-        // Losing more than the budget of the committed speedup fails.
-        let faded = vec![
-            row("forward", 2000.0, 1400.0, 8000.0, 32768, 16384),
-            row("adjoint", 1100.0, 1500.0, 8000.0, 32768, 16384),
-        ];
-        assert_eq!(regressions(&faded, &doc, 1.5).len(), 1);
-        // Missing rows fail.
-        assert_eq!(regressions(&doc[..1], &doc, 1.5).len(), 1);
+        let faded = [row("forward", 2000.0, 1400.0, 8000.0, 32768, 16384), doc[1].clone()];
+        assert_gates(
+            &doc,
+            2,
+            &[
+                // Identical run passes; a uniformly slower machine passes
+                // too (the speedup is a same-session ratio).
+                (&doc, &doc, 1.5, 0),
+                (&slower, &doc, 1.5, 0),
+                // Losing more than the budget of the committed speedup
+                // fails.
+                (&faded, &doc, 1.5, 1),
+                // Missing rows fail.
+                (&doc[..1], &doc, 1.5, 1),
+            ],
+        );
+        let nan = [row("forward", f64::NAN, 1400.0, 8000.0, 32768, 16384), doc[1].clone()];
+        assert_nan_fails(&doc, &nan);
+        // Half the scratch clears the 0.75 bar; parity and a 0/0 ratio
+        // do not.
+        let scratch = |fp: usize, sp: usize| {
+            let d = [row("forward", 1000.0, 1400.0, 8000.0, fp, sp)];
+            limit_failures(&d, "split/full scratch", ..=0.75, |r| Some(r.scratch_ratio())).len()
+        };
+        assert_eq!((scratch(32768, 16384), scratch(32768, 32768), scratch(0, 0)), (0, 1, 1));
     }
 
     #[test]
-    fn benchjson_regression_gate() {
-        use crate::benchjson::*;
-        let pair = |it: f64, rec: f64| {
-            vec![
-                BenchResult {
-                    size: 1024,
-                    precision: "f64".into(),
-                    engine: "iterative".into(),
-                    threads: 1,
-                    ns_per_transform: it,
-                },
-                BenchResult {
-                    size: 1024,
-                    precision: "f64".into(),
-                    engine: "recursive".into(),
-                    threads: 1,
-                    ns_per_transform: rec,
-                },
-            ]
+    fn backendjson_roundtrip_and_gates() {
+        let row = |primitive: &str, trait_ns: f64| BackendResult {
+            primitive: primitive.into(),
+            precision: "f32".into(),
+            direct_ns: 1000.0,
+            trait_ns,
         };
-        // Baseline: iterative is 2x faster than recursive (cost 0.5).
-        let base = pair(1000.0, 2000.0);
-        // A uniformly slower machine (both engines 3x slower) still passes:
-        // the normalized cost is unchanged.
-        assert!(regressions(&pair(3000.0, 6000.0), &base, 1.25).is_empty());
-        // 20% relative slowdown of the iterative engine passes...
-        assert!(regressions(&pair(1200.0, 2000.0), &base, 1.25).is_empty());
-        // ...30% fails, even though the machine could be fast overall.
-        assert_eq!(regressions(&pair(650.0, 1000.0), &base, 1.25).len(), 1);
-        // Missing entries fail.
-        assert_eq!(regressions(&[], &base, 1.25).len(), 1);
-        // A baseline without the recursive reference is ungated — and
-        // gated_count exposes that so callers can refuse to run with it.
-        assert!(regressions(&[], &base[..1], 1.25).is_empty());
-        assert_eq!(gated_count(&base), 1);
-        assert_eq!(gated_count(&base[..1]), 0, "iterative-only baseline gates nothing");
+        let doc = [row("cast_real", 1010.0), row("tree_reduce", 990.0)];
+        assert_gates(
+            &doc,
+            2,
+            &[
+                (&doc, &doc, 1.10, 0),
+                // Overhead growing past the budget fails (lower is
+                // better here); a missing row fails.
+                (&[row("cast_real", 1200.0), doc[1].clone()], &doc, 1.10, 1),
+                (&doc[1..], &doc, 1.10, 1),
+            ],
+        );
+        assert_nan_fails(&doc, &[row("cast_real", f64::NAN), doc[1].clone()]);
+        // The absolute ceiling.
+        let ceiling =
+            |d: &[BackendResult]| limit_failures(d, "overhead", ..=1.05, |r| r.statistic(d)).len();
+        assert_eq!((ceiling(&doc), ceiling(&[row("cast_real", 1100.0)])), (0, 1));
     }
 }

@@ -10,7 +10,7 @@
 //! includes the SOTI-to-TOSI and TOSI-to-SOTI times").
 
 use fftmatvec_blas::{kernel_profile, select_kernel, GemvOp};
-use fftmatvec_gpu::kernel::dtype_for;
+use fftmatvec_gpu::kernel::{dtype_for, FFT_PASSES};
 use fftmatvec_gpu::{DeviceSpec, KernelClass, KernelProfile, Phase, PhaseTimes};
 use fftmatvec_numeric::Precision;
 
@@ -43,10 +43,6 @@ impl MatvecDims {
         self.nt + 1
     }
 }
-
-/// Number of read+write sweeps a batched FFT of this length makes over its
-/// data (shared-memory GPU FFTs of a few thousand points take ~2).
-const FFT_PASSES: f64 = 2.0;
 
 fn fft_profile(name: &'static str, n_series: usize, nt: usize, p: Precision) -> KernelProfile {
     let real_in = (n_series * 2 * nt * p.real_bytes()) as f64;

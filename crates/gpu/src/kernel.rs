@@ -35,6 +35,12 @@ pub const WPB_MAX: f64 = 0.85;
 /// (`efficiency_override`) are detuned by `device_cap / REFERENCE_CAP`.
 pub const REFERENCE_CAP: f64 = 0.72;
 
+/// Read+write sweeps a batched shared-memory GPU FFT of a few thousand
+/// points makes over its data (~2). Shared by the phase simulator in
+/// `fftmatvec-core` and the simulated backend's FFT clock, so both model
+/// the same FFT traffic.
+pub const FFT_PASSES: f64 = 2.0;
+
 /// Kernel families with distinct tuning caps on each device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelClass {
