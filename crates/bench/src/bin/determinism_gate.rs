@@ -33,10 +33,10 @@ fn report(name: &str, digest: u64) {
     println!("DIGEST {name} {digest:016x}");
 }
 
-/// The `bench_matvec` shape set (largest shape exercises every parallel
-/// path) in the baseline and paper-optimal configurations.
-fn matvec_workloads() {
-    let (nd, nm, nt) = (8usize, 256usize, 256usize);
+/// `FftMatvec` applies at one `(nd, nm, nt)` shape in the baseline and
+/// paper-optimal configurations, both directions, single and
+/// column-batched; digests are named `<label>[_many]_<config>_<dir>`.
+fn fft_matvec_workloads(label: &str, (nd, nm, nt): (usize, usize, usize)) {
     for config in ["ddddd", "dssdd"] {
         let cfg: PrecisionConfig = config.parse().expect("valid config literal");
         let mv = FftMatvec::builder(make_operator(nd, nm, nt, nt as u64))
@@ -52,16 +52,25 @@ fn matvec_workloads() {
                 OpDirection::Forward => "forward",
                 OpDirection::Adjoint => "adjoint",
             };
-            report(&format!("matvec_{config}_{d}"), f64_bits(&out));
+            report(&format!("{label}_{config}_{d}"), f64_bits(&out));
 
             // Column-batched sweep: the apply_many pool path.
             let cols = 6;
             let inputs = stuffed_vector(in_len * cols, 11);
             let mut outs = vec![0.0; out_len * cols];
             mv.apply_many_into(dir, &inputs, &mut outs).expect("valid shapes");
-            report(&format!("matvec_many_{config}_{d}"), f64_bits(&outs));
+            report(&format!("{label}_many_{config}_{d}"), f64_bits(&outs));
         }
     }
+}
+
+fn matvec_workloads() {
+    // The largest `bench_matvec` shape exercises every parallel path.
+    fft_matvec_workloads("matvec", (8, 256, 256));
+    // Ragged: 301 series and 129 steps (130 frequencies, 258 padded)
+    // leave remainder tiles on every axis of the layout kernels, and each
+    // of them crosses the kernels' parallel grain in both directions.
+    fft_matvec_workloads("ragged", (3, 301, 129));
 
     // Direct (non-FFT) matvec at a size its O(N_t²) cost tolerates.
     let op = make_operator(4, 32, 64, 17);

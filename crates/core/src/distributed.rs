@@ -210,9 +210,9 @@ impl DistributedFftMatvec {
     }
 
     /// Run every rank's pipeline over the staged inputs in `ws.rank_in`,
-    /// writing into `ws.partials`. Per-rank shapes are struct invariants,
-    /// so rank applies cannot fail; a failure anyway is surfaced as
-    /// [`OpError::Internal`] rather than a panic.
+    /// writing into `ws.partials`. A failing rank (a backend error, say)
+    /// surfaces as the lowest failing rank's typed error, in parallel as
+    /// in the sequential loop.
     fn run_ranks(&self, dir: OpDirection, ws: &mut DistWorkspace) -> Result<(), OpError> {
         for (rank, out) in ws.partials.iter_mut().enumerate() {
             let (in_len, out_len) = self.ranks[rank].shape().io_lens(dir);
@@ -223,17 +223,12 @@ impl DistributedFftMatvec {
         }
         #[cfg(feature = "parallel")]
         {
-            use std::sync::atomic::{AtomicBool, Ordering};
-            let failed = AtomicBool::new(false);
+            let first = crate::linop::FirstError::new();
             let rank_in = &ws.rank_in;
             ws.partials.par_iter_mut().enumerate().for_each(|(rank, out)| {
-                if self.ranks[rank].apply_into(dir, &rank_in[rank], out).is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                }
+                first.record(rank, self.ranks[rank].apply_into(dir, &rank_in[rank], out));
             });
-            if failed.load(Ordering::Relaxed) {
-                return Err(OpError::Internal("distributed rank apply failed"));
-            }
+            first.into_result()?;
         }
         #[cfg(not(feature = "parallel"))]
         for (rank, out) in ws.partials.iter_mut().enumerate() {

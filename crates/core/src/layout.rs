@@ -10,8 +10,84 @@
 //! here is one such fused kernel, dispatched over all four tiers of the
 //! extended precision lattice (`h`/`b`/`s`/`d`) via
 //! [`fftmatvec_numeric::with_real`].
+//!
+//! **Execution.** All four kernels are the same strided transpose with
+//! a cast (`transpose_tiled`). A naive transpose reads one layout
+//! contiguously and writes the other with a stride of a whole row — at
+//! the paper's shapes one new 4 KB page per element. Here the output
+//! is cut into blocks of 16 whole rows, and each block walks its
+//! columns in order, reading one contiguous 16-element run per column:
+//! every 16 columns form a 16×16 tile that reads 16 contiguous runs and
+//! writes to 16 hot output rows. The pad writes its `t ∈ [nt, 2nt)`
+//! zeros row by row in the same block, so a reused buffer never carries
+//! stale values into the padding.
+//!
+//! With the `parallel` feature, outputs of at least 16 Ki elements (the
+//! grain) hand their row blocks to the pool; smaller ones run the same
+//! blocks in a serial loop. The split is invisible in the bits: each
+//! output element is written once, from one source element, by one
+//! cast, whichever block or thread writes it — a transpose combines no
+//! values, so there is no association for the thread count to change.
 
-use fftmatvec_numeric::{Complex, ComplexBuffer, Precision, Real, RealBuffer};
+use fftmatvec_numeric::{with_real, Complex, ComplexBuffer, Precision, Real, RealBuffer};
+#[cfg(feature = "parallel")]
+use rayon::prelude::*;
+
+/// Output rows per block, and so the side of the square tiles the
+/// transposes walk (see the module doc).
+const TILE: usize = 16;
+
+/// Output elements at and above which a kernel splits across the pool.
+/// Below it one block of work is cheaper than a fork/join.
+#[cfg(feature = "parallel")]
+const PAR_GRAIN: usize = 1 << 14;
+
+/// The one transposing move all four layout kernels are built from:
+///
+/// `out[r·ld_out + c] = f(src[c·ld_src + r])` for `c < cols`, and
+/// `out[r·ld_out + c] = tail` for `c ∈ [cols, ld_out)`,
+///
+/// over every output row `r < out.len() / ld_out`, in blocks of
+/// [`TILE`] whole rows; each block reads one contiguous `TILE`-long
+/// source run per column, then writes its rows' tails.
+fn transpose_tiled<S, D, F>(
+    src: &[S],
+    ld_src: usize,
+    cols: usize,
+    out: &mut [D],
+    ld_out: usize,
+    tail: D,
+    f: F,
+) where
+    S: Copy + Sync,
+    D: Copy + Send + Sync,
+    F: Fn(S) -> D + Sync,
+{
+    if out.is_empty() {
+        return;
+    }
+    let block = |(b, rows): (usize, &mut [D])| {
+        let r0 = b * TILE;
+        let nrows = rows.len() / ld_out;
+        for c in 0..cols {
+            let run = &src[c * ld_src + r0..c * ld_src + r0 + nrows];
+            for (r, &v) in run.iter().enumerate() {
+                rows[r * ld_out + c] = f(v);
+            }
+        }
+        if cols < ld_out {
+            for row in rows.chunks_exact_mut(ld_out) {
+                row[cols..].fill(tail);
+            }
+        }
+    };
+    #[cfg(feature = "parallel")]
+    if out.len() >= PAR_GRAIN {
+        out.par_chunks_mut(TILE * ld_out).enumerate().for_each(block);
+        return;
+    }
+    out.chunks_mut(TILE * ld_out).enumerate().for_each(block);
+}
 
 /// Phase 1: TOSI input → SOTI zero-padded, cast to `p`.
 ///
@@ -28,20 +104,16 @@ pub fn pad_input(m: &[f64], n_series: usize, nt: usize, p: Precision) -> RealBuf
 }
 
 /// [`pad_input`] writing into a reusable buffer: `out` is
-/// [`RealBuffer::reset`] to precision `p` (reusing its allocation when the
-/// tier matches) and filled — the zero-allocation phase-1 kernel.
+/// [`RealBuffer::reset_for_overwrite`] to precision `p` (reusing its
+/// allocation when the tier matches) and every element — the padding
+/// zeros included — is written on each call: the zero-allocation
+/// phase-1 kernel.
 pub fn pad_input_into(m: &[f64], n_series: usize, nt: usize, p: Precision, out: &mut RealBuffer) {
     assert_eq!(m.len(), n_series * nt, "pad_input length mismatch");
     let n2 = 2 * nt;
-    out.reset(p, n_series * n2);
+    out.reset_for_overwrite(p, n_series * n2);
     fn inner<T: Real>(m: &[f64], n_series: usize, nt: usize, out: &mut [T]) {
-        let n2 = 2 * nt;
-        for t in 0..nt {
-            let row = &m[t * n_series..(t + 1) * n_series];
-            for (s, &v) in row.iter().enumerate() {
-                out[s * n2 + t] = T::from_f64(v);
-            }
-        }
+        transpose_tiled(m, n_series, nt, out, 2 * nt, T::ZERO, T::from_f64);
     }
     match out {
         RealBuffer::F16(v) => inner(m, n_series, nt, v),
@@ -61,12 +133,7 @@ fn transpose_cast<Tin: Real, Tout: Real>(
     inner: usize,
     out: &mut [Complex<Tout>],
 ) {
-    for o in 0..outer {
-        let row = &src[o * inner..(o + 1) * inner];
-        for (i, &v) in row.iter().enumerate() {
-            out[i * outer + o] = v.cast();
-        }
-    }
+    transpose_tiled(src, inner, outer, out, outer, Complex::zero(), Complex::cast);
 }
 
 /// Dispatch a source/destination `ComplexBuffer` pair to the generic
@@ -181,14 +248,14 @@ pub fn unpad_output_into(
         route: Option<Precision>,
         out: &mut [f64],
     ) {
-        let n2 = 2 * nt;
-        for s in 0..n_series {
-            for t in 0..nt {
-                let x = v[s * n2 + t].to_f64();
-                out[t * n_series + s] = match route {
-                    None => x,
-                    Some(p) => p.round_f64(x),
-                };
+        // The route is resolved once, outside the element loop: each
+        // arm is its own monomorphized transpose.
+        match route {
+            None => transpose_tiled(v, 2 * nt, n_series, out, n_series, 0.0, T::to_f64),
+            Some(p) => {
+                with_real!(p, R => transpose_tiled(v, 2 * nt, n_series, out, n_series, 0.0, |x: T| {
+                    R::from_f64(x.to_f64()).to_f64()
+                }))
             }
         }
     }

@@ -53,8 +53,8 @@ pub use direct::DirectMatvec;
 pub use distributed::DistributedFftMatvec;
 pub use error_analysis::{BoundParams, ErrorBound};
 pub use linop::{
-    check_apply, check_batch, ConfigError, ConfigurableOperator, LinearOperator, OpDirection,
-    OpError, OpShape,
+    check_apply, check_batch, ConfigError, ConfigurableOperator, FirstError, LinearOperator,
+    OpDirection, OpError, OpShape,
 };
 pub use operator::BlockToeplitzOperator;
 pub use pareto::{pareto_front, ParetoPoint};

@@ -22,6 +22,8 @@
 //! All public construction and apply paths report failures through the
 //! typed [`OpError`] / [`ConfigError`] hierarchy instead of panicking.
 
+use std::sync::{Mutex, PoisonError};
+
 use crate::precision::PrecisionConfig;
 
 /// Shape of a linear operator: the forward map takes `cols` inputs to
@@ -309,6 +311,40 @@ pub fn check_batch(
     Ok(batch)
 }
 
+/// The outcome of a batch whose items run in parallel: keeps the error of
+/// the lowest-index failing item, which is the error a sequential loop
+/// over the same items stops at. So the parallel batched applies report
+/// the same typed error as their sequential paths, not a generic one.
+/// Recording locks only on failure and allocates nothing.
+#[derive(Debug, Default)]
+pub struct FirstError(Mutex<Option<(usize, OpError)>>);
+
+impl FirstError {
+    /// No failure recorded yet.
+    pub const fn new() -> Self {
+        FirstError(Mutex::new(None))
+    }
+
+    /// Record the result of item `index`; an error replaces the kept one
+    /// only if it comes from a lower index.
+    pub fn record(&self, index: usize, result: Result<(), OpError>) {
+        if let Err(e) = result {
+            let mut kept = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            if !matches!(*kept, Some((i, _)) if i < index) {
+                *kept = Some((index, e));
+            }
+        }
+    }
+
+    /// `Ok(())` if every item succeeded, else the lowest-index error.
+    pub fn into_result(self) -> Result<(), OpError> {
+        match self.0.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
+    }
+}
+
 /// A realization of the block-triangular Toeplitz operator `F` (and its
 /// adjoint `F*`) acting on flat `f64` vectors.
 ///
@@ -456,6 +492,21 @@ pub trait ConfigurableOperator: LinearOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_error_keeps_the_lowest_index() {
+        let first = FirstError::new();
+        first.record(0, Ok(()));
+        assert_eq!(FirstError::new().into_result(), Ok(()));
+        for k in [5, 2, 7, 3] {
+            first.record(
+                k,
+                Err(OpError::RaggedBatch { dir: OpDirection::Forward, got: k, stride: 1 }),
+            );
+        }
+        let lowest = OpError::RaggedBatch { dir: OpDirection::Forward, got: 2, stride: 1 };
+        assert_eq!(first.into_result(), Err(lowest));
+    }
 
     /// Minimal in-test realization: diag(2) on length-3 vectors.
     struct Doubler;

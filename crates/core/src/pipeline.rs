@@ -745,24 +745,18 @@ impl LinearOperator for FftMatvec {
         let gemv_op = Self::gemv_op(dir);
         #[cfg(feature = "parallel")]
         if inputs.len().max(outputs.len()) > MANY_PAR_THRESHOLD {
-            use std::sync::atomic::{AtomicBool, Ordering};
-            let failed = AtomicBool::new(false);
+            let first = crate::linop::FirstError::new();
             inputs
                 .par_chunks_exact(in_len)
                 .zip(outputs.par_chunks_exact_mut(out_len))
+                .enumerate()
                 .for_each_init(
                     || self.workspace.checkout(),
-                    |guard, (i, o)| {
-                        if self.run_pipeline(i, o, gemv_op, guard.ws()).is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
+                    |guard, (k, (i, o))| {
+                        first.record(k, self.run_pipeline(i, o, gemv_op, guard.ws()));
                     },
                 );
-            return if failed.load(Ordering::Relaxed) {
-                Err(OpError::Internal("batched pipeline apply failed"))
-            } else {
-                Ok(())
-            };
+            return first.into_result();
         }
         let mut guard = self.workspace.checkout();
         for (i, o) in inputs.chunks_exact(in_len).zip(outputs.chunks_exact_mut(out_len)) {
@@ -1278,5 +1272,98 @@ mod tests {
         let choice = obj.retune(dir, 1e-6, &params, &weights, &mut calib).unwrap();
         assert!(choice.bound.total <= 1e-6);
         assert_eq!(obj.config(), choice.config, "retune installs through set_config");
+    }
+
+    /// The CPU pool with one primitive broken: every `cast_real` fails
+    /// with a typed `Unavailable`, the way a device backend would.
+    #[derive(Debug)]
+    struct CastFails(fftmatvec_backend::CpuPool);
+
+    impl DeviceBackend for CastFails {
+        fn kind(&self) -> BackendKind {
+            self.0.kind()
+        }
+        fn name(&self) -> &'static str {
+            "cast-fails"
+        }
+        fn upload_f64(
+            &self,
+            src: &[f64],
+            p: Precision,
+            dst: &mut RealBuffer,
+        ) -> Result<(), BackendError> {
+            self.0.upload_f64(src, p, dst)
+        }
+        fn download_f64(&self, src: &RealBuffer, dst: &mut [f64]) -> Result<(), BackendError> {
+            self.0.download_f64(src, dst)
+        }
+        fn record_upload(&self, bytes: usize) {
+            self.0.record_upload(bytes);
+        }
+        fn record_download(&self, bytes: usize) {
+            self.0.record_download(bytes);
+        }
+        fn transfers(&self) -> fftmatvec_backend::TransferStats {
+            self.0.transfers()
+        }
+        fn reset_transfers(&self) {
+            self.0.reset_transfers();
+        }
+        fn real_fft(&self, p: Precision, n: usize) -> Result<Arc<dyn BatchFft>, BackendError> {
+            self.0.real_fft(p, n)
+        }
+        fn pointwise_multiply(
+            &self,
+            io: &mut ComplexBuffer,
+            sym: &ComplexBuffer,
+            conj: bool,
+        ) -> Result<(), BackendError> {
+            self.0.pointwise_multiply(io, sym, conj)
+        }
+        fn cast_real(
+            &self,
+            _src: &RealBuffer,
+            _p: Precision,
+            _dst: &mut RealBuffer,
+        ) -> Result<(), BackendError> {
+            Err(BackendError::Unavailable { backend: "cast-fails", reason: "no casts".into() })
+        }
+        fn cast_complex(
+            &self,
+            src: &ComplexBuffer,
+            p: Precision,
+            dst: &mut ComplexBuffer,
+        ) -> Result<(), BackendError> {
+            self.0.cast_complex(src, p, dst)
+        }
+        fn tree_reduce(&self, flat: &mut RealBuffer, len: usize) -> Result<(), BackendError> {
+            self.0.tree_reduce(flat, len)
+        }
+    }
+
+    #[test]
+    fn batched_apply_keeps_the_typed_backend_error() {
+        // `sdddd` casts between the pad and the FFT, so every column
+        // fails in the backend's `cast_real`.
+        let mut mv = mv(random_operator(2, 3, 8, 31), "sdddd".parse().unwrap());
+        mv.device = Arc::new(CastFails(fftmatvec_backend::CpuPool::new()));
+        let want = OpError::Backend(BackendError::Unavailable {
+            backend: "cast-fails",
+            reason: "no casts".into(),
+        });
+        for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+            let (in_len, out_len) = mv.shape().io_lens(dir);
+            let single = mv.apply_into(dir, &vec![1.0; in_len], &mut vec![0.0; out_len]);
+            assert_eq!(single, Err(want.clone()), "{dir}: single apply");
+            // 300 columns: above `MANY_PAR_THRESHOLD` on both sides, so
+            // the batch runs on the pool under the `parallel` feature.
+            let batch = 300;
+            assert!(batch * in_len.min(out_len) > 1 << 12);
+            let inputs = vec![1.0; batch * in_len];
+            let got = mv.apply_many_into(dir, &inputs, &mut vec![0.0; batch * out_len]);
+            assert_eq!(got, Err(want.clone()), "{dir}: batched apply");
+            let seq = mv.apply_many_into(dir, &inputs[..in_len], &mut vec![0.0; out_len]);
+            assert_eq!(got, seq, "{dir}: batched apply must match the sequential path");
+        }
     }
 }

@@ -481,24 +481,16 @@ impl LinearOperator for Core {
         check_batch(shape, dir, inputs, outputs)?;
         #[cfg(feature = "parallel")]
         if inputs.len().max(outputs.len()) > MANY_PAR_THRESHOLD {
-            use std::sync::atomic::{AtomicBool, Ordering};
-            let failed = AtomicBool::new(false);
+            let first = fftmatvec_core::FirstError::new();
             inputs
                 .par_chunks_exact(in_len)
                 .zip(outputs.par_chunks_exact_mut(out_len))
+                .enumerate()
                 .for_each_init(
                     || self.pool.checkout(),
-                    |guard, (i, o)| {
-                        if self.run(dir, i, o, guard.ws()).is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                    },
+                    |guard, (k, (i, o))| first.record(k, self.run(dir, i, o, guard.ws())),
                 );
-            return if failed.load(Ordering::Relaxed) {
-                Err(OpError::Internal("batched pipeline apply failed"))
-            } else {
-                Ok(())
-            };
+            return first.into_result();
         }
         let mut guard = self.pool.checkout();
         for (i, o) in inputs.chunks_exact(in_len).zip(outputs.chunks_exact_mut(out_len)) {
