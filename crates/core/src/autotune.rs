@@ -384,6 +384,56 @@ pub fn autotune<L: ConfigurableOperator + ?Sized>(
     select(&admissible, dir, budget, weights, calib)
 }
 
+/// Live autotuning state a budget-resolved operator carries: the tier
+/// calibration persists so later retunes refine timings instead of
+/// restarting them, and the latest choice is the promise the operator
+/// reports.
+#[derive(Clone, Debug, Default)]
+pub struct AutotuneState {
+    calib: TierCalibration,
+    last: Option<AutotuneChoice>,
+}
+
+impl AutotuneState {
+    /// The latest resolution; `None` until a budget resolves.
+    pub fn last(&self) -> Option<&AutotuneChoice> {
+        self.last.as_ref()
+    }
+}
+
+/// Resolve `budget` on an operator that carries its own
+/// [`AutotuneState`] (reached through `state`): run
+/// [`ConfigurableOperator::retune`] with the persistent calibration and
+/// record the winner. The state is taken out for the duration so the
+/// calibration applies can borrow `op` mutably. On error the current
+/// configuration and the last choice stay.
+pub fn resolve_budget<L: ConfigurableOperator>(
+    op: &mut L,
+    state: fn(&mut L) -> &mut AutotuneState,
+    dir: OpDirection,
+    budget: f64,
+    params: &BoundParams,
+    weights: &PhaseWeights,
+) -> Result<AutotuneChoice, OpError> {
+    let mut st = std::mem::take(state(op));
+    let result = op.retune(dir, budget, params, weights, &mut st.calib);
+    if let Ok(choice) = result {
+        st.last = Some(choice);
+    }
+    *state(op) = st;
+    result
+}
+
+/// The construction error for a budget that fails to resolve at build
+/// time: configuration errors pass through, anything else (a failed
+/// calibration apply) becomes [`ConfigError::Autotune`].
+pub fn build_error(e: OpError) -> ConfigError {
+    match e {
+        OpError::Config(c) => c,
+        other => ConfigError::Autotune(other.to_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,8 +22,6 @@
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use fftmatvec_backend::DeviceBackend;
 use fftmatvec_comm::{NetworkModel, ProcessGrid};
 use fftmatvec_gpu::{DeviceSpec, Phase, PhaseTimes};
@@ -36,8 +34,10 @@ use crate::operator::BlockToeplitzOperator;
 use crate::pipeline::FftMatvec;
 use crate::precision::{MatvecPhase, PrecisionConfig};
 use crate::timing::{simulate_phases, MatvecDims};
+use crate::workspace::{Workspace, WorkspacePool};
 
 /// Pooled staging buffers for one distributed apply.
+#[derive(Default)]
 struct DistWorkspace {
     /// Per-rank input slices (the phase-1 scatter/broadcast buffers).
     rank_in: Vec<Vec<f64>>,
@@ -47,39 +47,10 @@ struct DistWorkspace {
     reduce: RealBuffer,
 }
 
-impl DistWorkspace {
-    fn empty() -> Self {
-        DistWorkspace {
-            rank_in: Vec::new(),
-            partials: Vec::new(),
-            reduce: RealBuffer::F64(Vec::new()),
-        }
-    }
-}
-
-/// RAII guard returning a [`DistWorkspace`] to its owner's pool on drop.
-struct PooledDistWorkspace<'a> {
-    owner: &'a DistributedFftMatvec,
-    ws: DistWorkspace,
-}
-
-impl std::ops::Deref for PooledDistWorkspace<'_> {
-    type Target = DistWorkspace;
-    fn deref(&self) -> &DistWorkspace {
-        &self.ws
-    }
-}
-
-impl std::ops::DerefMut for PooledDistWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut DistWorkspace {
-        &mut self.ws
-    }
-}
-
-impl Drop for PooledDistWorkspace<'_> {
-    fn drop(&mut self) {
-        let ws = std::mem::replace(&mut self.ws, DistWorkspace::empty());
-        self.owner.pool().push(ws);
+impl Workspace for DistWorkspace {
+    fn bytes(&self) -> usize {
+        let staged: usize = self.rank_in.iter().chain(&self.partials).map(Vec::len).sum();
+        staged * std::mem::size_of::<f64>() + self.reduce.bytes()
     }
 }
 
@@ -91,7 +62,7 @@ pub struct DistributedFftMatvec {
     nt: usize,
     /// Per-rank pipelines, indexed by grid rank (column-major).
     ranks: Vec<FftMatvec>,
-    workspace: Mutex<Vec<DistWorkspace>>,
+    workspace: WorkspacePool<DistWorkspace>,
 }
 
 impl std::fmt::Debug for DistributedFftMatvec {
@@ -151,7 +122,7 @@ impl DistributedFftMatvec {
             let op = BlockToeplitzOperator::from_first_block_column(ndl, nml, nt, &local)?;
             ranks.push(FftMatvec::builder(op).precision(cfg).build()?);
         }
-        Ok(DistributedFftMatvec { grid, nd, nm, nt, ranks, workspace: Mutex::new(Vec::new()) })
+        Ok(DistributedFftMatvec { grid, nd, nm, nt, ranks, workspace: WorkspacePool::default() })
     }
 
     /// The process grid.
@@ -189,24 +160,6 @@ impl DistributedFftMatvec {
     /// dispatch through.
     fn device(&self) -> &dyn DeviceBackend {
         self.ranks[0].device().as_ref()
-    }
-
-    fn pool(&self) -> MutexGuard<'_, Vec<DistWorkspace>> {
-        self.workspace.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Check out a pooled workspace behind an RAII guard — like the
-    /// single-rank pipeline's pool, the guard returns the buffers on drop
-    /// so every exit path (including `?` returns) preserves the
-    /// zero-allocation steady state.
-    fn checkout(&self) -> PooledDistWorkspace<'_> {
-        let mut ws = self.pool().pop().unwrap_or_else(DistWorkspace::empty);
-        let size = self.grid.size();
-        if ws.rank_in.len() != size {
-            ws.rank_in.resize_with(size, Vec::new);
-            ws.partials.resize_with(size, Vec::new);
-        }
-        PooledDistWorkspace { owner: self, ws }
     }
 
     /// Run every rank's pipeline over the staged inputs in `ws.rank_in`,
@@ -258,6 +211,62 @@ impl DistributedFftMatvec {
         t.add(Phase::Comm, comm);
         t
     }
+
+    /// One distributed apply in `dir`, all staging in `ws`; the caller
+    /// has validated `input`/`out` lengths. `F` reads parameters, which
+    /// grid columns partition, and writes sensors, which grid rows
+    /// partition; `F*` swaps the two axes.
+    fn run(
+        &self,
+        dir: OpDirection,
+        input: &[f64],
+        out: &mut [f64],
+        ws: &mut DistWorkspace,
+    ) -> Result<(), OpError> {
+        let (grid, nt) = (self.grid, self.nt);
+        let forward = dir == OpDirection::Forward;
+        let params = |c| grid.param_range(self.nm, c);
+        let sensors = |r| grid.sensor_range(self.nd, r);
+        let (n_in, n_out) = if forward { (self.nm, self.nd) } else { (self.nd, self.nm) };
+        ws.rank_in.resize_with(grid.size(), Vec::new);
+        ws.partials.resize_with(grid.size(), Vec::new);
+        // Scatter: each rank's slice of the input axis, replicated along
+        // the other grid axis (the phase-1 broadcast/allgather).
+        for (rank, local) in ws.rank_in.iter_mut().enumerate() {
+            let (r, c) = grid.coords_of(rank);
+            let part = if forward { params(c) } else { sensors(r) };
+            let len = part.len();
+            // Every element is written by the copy loop below.
+            local.resize(len * nt, 0.0);
+            for t in 0..nt {
+                local[t * len..(t + 1) * len]
+                    .copy_from_slice(&input[t * n_in + part.start..t * n_in + part.end]);
+            }
+        }
+        self.run_ranks(dir, ws)?;
+
+        // Phase 5: tree-reduce each grid line's partials across the other
+        // grid axis in the phase-5 precision, then place into the global
+        // output.
+        let p5 = self.config().phase(MatvecPhase::Unpad);
+        let (lines, nparts) = if forward { (grid.rows, grid.cols) } else { (grid.cols, grid.rows) };
+        for line in 0..lines {
+            let part = if forward { sensors(line) } else { params(line) };
+            let rank_of = |k| if forward { grid.rank_of(line, k) } else { grid.rank_of(k, line) };
+            let len = part.len() * nt;
+            reduce_in_precision(
+                self.device(),
+                &ws.partials,
+                rank_of,
+                nparts,
+                len,
+                p5,
+                &mut ws.reduce,
+            )?;
+            place_reduced(&ws.reduce, nt, part.len(), n_out, part.start, out);
+        }
+        Ok(())
+    }
 }
 
 impl LinearOperator for DistributedFftMatvec {
@@ -265,84 +274,26 @@ impl LinearOperator for DistributedFftMatvec {
         OpShape::new(self.nd * self.nt, self.nm * self.nt)
     }
 
-    /// `d = F·m` with global TOSI vectors.
     fn apply_forward_into(&self, m: &[f64], d: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape(), OpDirection::Forward, m, d)?;
-        let mut guard = self.checkout();
-        // Reborrow the plain workspace so field borrows split (the guard's
-        // Deref would otherwise pin the whole struct).
-        let ws: &mut DistWorkspace = &mut guard;
-        // Scatter: column c's slice, replicated down its rows (the
-        // phase-1 broadcast/allgather).
-        for rank in 0..self.grid.size() {
-            let (_, c) = self.grid.coords_of(rank);
-            let ci = self.grid.param_range(self.nm, c);
-            let mc = &mut ws.rank_in[rank];
-            // Every element is written by the copy loop below.
-            mc.resize(ci.len() * self.nt, 0.0);
-            for t in 0..self.nt {
-                mc[t * ci.len()..(t + 1) * ci.len()]
-                    .copy_from_slice(&m[t * self.nm + ci.start..t * self.nm + ci.end]);
-            }
-        }
-        self.run_ranks(OpDirection::Forward, ws)?;
-
-        // Phase 5: tree-reduce each grid row's partials across columns in
-        // the phase-5 precision, then place into the global output.
-        let p5 = self.config().phase(MatvecPhase::Unpad);
-        for r in 0..self.grid.rows {
-            let ri = self.grid.sensor_range(self.nd, r);
-            let ndl = ri.len();
-            let len = ndl * self.nt;
-            reduce_in_precision(
-                self.device(),
-                &ws.partials,
-                |c| self.grid.rank_of(r, c),
-                self.grid.cols,
-                len,
-                p5,
-                &mut ws.reduce,
-            )?;
-            place_reduced(&ws.reduce, self.nt, ndl, self.nd, ri.start, d);
-        }
-        Ok(())
+        self.run(OpDirection::Forward, m, d, &mut self.workspace.checkout())
     }
 
-    /// `m = F*·d` with global TOSI vectors.
     fn apply_adjoint_into(&self, d: &[f64], m: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape(), OpDirection::Adjoint, d, m)?;
-        let mut guard = self.checkout();
-        let ws: &mut DistWorkspace = &mut guard;
-        for rank in 0..self.grid.size() {
-            let (r, _) = self.grid.coords_of(rank);
-            let ri = self.grid.sensor_range(self.nd, r);
-            let dr = &mut ws.rank_in[rank];
-            // Every element is written by the copy loop below.
-            dr.resize(ri.len() * self.nt, 0.0);
-            for t in 0..self.nt {
-                dr[t * ri.len()..(t + 1) * ri.len()]
-                    .copy_from_slice(&d[t * self.nd + ri.start..t * self.nd + ri.end]);
-            }
-        }
-        self.run_ranks(OpDirection::Adjoint, ws)?;
+        self.run(OpDirection::Adjoint, d, m, &mut self.workspace.checkout())
+    }
 
-        let p5 = self.config().phase(MatvecPhase::Unpad);
-        for c in 0..self.grid.cols {
-            let ci = self.grid.param_range(self.nm, c);
-            let nml = ci.len();
-            let len = nml * self.nt;
-            reduce_in_precision(
-                self.device(),
-                &ws.partials,
-                |r| self.grid.rank_of(r, c),
-                self.grid.rows,
-                len,
-                p5,
-                &mut ws.reduce,
-            )?;
-            place_reduced(&ws.reduce, self.nt, nml, self.nm, ci.start, m);
-        }
-        Ok(())
+    /// Batched apply through the shared driver: above the pool threshold
+    /// the columns overlap across the thread pool, one workspace each.
+    fn apply_many_into(
+        &self,
+        dir: OpDirection,
+        inputs: &[f64],
+        outputs: &mut [f64],
+    ) -> Result<(), OpError> {
+        self.workspace
+            .apply_many(self.shape(), dir, inputs, outputs, |i, o, ws| self.run(dir, i, o, ws))
     }
 }
 
@@ -662,6 +613,45 @@ mod tests {
             .unwrap_err(),
             ConfigError::ColumnLength { expected: 24, got: 23 }
         );
+    }
+
+    #[test]
+    fn pool_parks_at_most_the_retention_cap() {
+        let (nd, nm, nt) = (2usize, 4usize, 3usize);
+        let col = global_col(nd, nm, nt, 12);
+        let cfg = PrecisionConfig::all_double();
+        let dist = DistributedFftMatvec::from_global(nd, nm, nt, &col, ProcessGrid::new(2, 2), cfg)
+            .unwrap();
+        // A burst of cap + 5 concurrent applies' workspaces parks only
+        // `cap` on return, and an apply reuses one of them.
+        let cap = crate::workspace_retention_cap();
+        drop((0..cap + 5).map(|_| dist.workspace.checkout()).collect::<Vec<_>>());
+        assert_eq!(dist.workspace.pooled(), cap);
+        dist.apply_forward(&vec![1.0; nm * nt]).unwrap();
+        assert_eq!((dist.workspace.pooled(), dist.workspace.in_flight()), (cap, 0));
+    }
+
+    #[test]
+    fn batch_above_the_pool_threshold_matches_single_applies() {
+        let (nd, nm, nt) = (2usize, 4usize, 3usize);
+        let col = global_col(nd, nm, nt, 13);
+        let cfg = PrecisionConfig::optimal_forward();
+        let dist = DistributedFftMatvec::from_global(nd, nm, nt, &col, ProcessGrid::new(2, 2), cfg)
+            .unwrap();
+        for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+            let (in_len, out_len) = dist.shape().io_lens(dir);
+            let batch = 700;
+            assert!(batch * out_len.min(in_len) > crate::workspace::MANY_PAR_THRESHOLD);
+            let mut inputs = vec![0.0; batch * in_len];
+            SplitMix64::new(14).fill_uniform(&mut inputs, -1.0, 1.0);
+            let mut outputs = vec![0.0; batch * out_len];
+            dist.apply_many_into(dir, &inputs, &mut outputs).unwrap();
+            let mut single = vec![0.0; out_len];
+            for (i, o) in inputs.chunks_exact(in_len).zip(outputs.chunks_exact(out_len)) {
+                dist.apply_into(dir, i, &mut single).unwrap();
+                assert_eq!(single, o, "{dir}");
+            }
+        }
     }
 
     #[test]

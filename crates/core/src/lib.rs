@@ -34,7 +34,9 @@
 //! provided on top. Construction is builder-based
 //! ([`FftMatvec::builder`]), and all construction/apply failures are
 //! typed ([`ConfigError`] / [`OpError`]) — no panics on the public
-//! paths.
+//! paths. The pooled realizations draw their per-apply buffers from the
+//! one [`WorkspacePool`] and run batches through its driver
+//! ([`workspace`]).
 
 pub mod autotune;
 pub mod direct;
@@ -47,6 +49,7 @@ pub mod pareto;
 pub mod pipeline;
 pub mod precision;
 pub mod timing;
+pub mod workspace;
 
 pub use autotune::{AutotuneChoice, PhaseWeights, TierCalibration};
 pub use direct::DirectMatvec;
@@ -58,5 +61,6 @@ pub use linop::{
 };
 pub use operator::BlockToeplitzOperator;
 pub use pareto::{pareto_front, ParetoPoint};
-pub use pipeline::{workspace_retention_cap, FftMatvec, FftMatvecBuilder, PipelineBackend};
+pub use pipeline::{FftMatvec, FftMatvecBuilder, PipelineBackend};
 pub use precision::{MatvecPhase, PrecisionConfig};
+pub use workspace::{workspace_retention_cap, WorkspacePool};

@@ -215,6 +215,10 @@ pub enum ConfigError {
     /// underlying [`fftmatvec_backend::BackendError`] (also reachable
     /// through [`std::error::Error::source`]).
     Backend(fftmatvec_backend::BackendError),
+    /// The requested construction is outside what the operator supports:
+    /// a level count it cannot realize, or builder options that conflict
+    /// with a shared setup.
+    Unsupported { what: &'static str },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -241,6 +245,7 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::Autotune(msg) => write!(f, "autotune calibration failed: {msg}"),
             ConfigError::Backend(e) => write!(f, "backend selection failed: {e}"),
+            ConfigError::Unsupported { what } => write!(f, "unsupported construction: {what}"),
         }
     }
 }
@@ -392,8 +397,10 @@ pub trait LinearOperator {
     /// batch contiguously (`inputs[b·in_len..][..in_len]` is item `b`),
     /// `outputs` likewise with the output stride — no `Vec<Vec<f64>>`
     /// staging, no per-item clones. The default visits items in order
-    /// through the `_into` path; [`crate::FftMatvec`] overrides it so the
-    /// whole batch shares one engine/workspace checkout.
+    /// through the `_into` path; the pooled operators override it with
+    /// the shared batch driver ([`crate::WorkspacePool::apply_many`]), so
+    /// a serial batch shares one workspace checkout and a large one
+    /// splits across the thread pool.
     fn apply_many_into(
         &self,
         dir: OpDirection,

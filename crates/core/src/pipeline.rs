@@ -20,23 +20,21 @@
 //! configuration perform **zero heap allocations after warm-up** —
 //! verified by the counting-allocator conformance suite.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use fftmatvec_backend::{BackendError, BackendKind, BatchFft, DeviceBackend};
 use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
 use fftmatvec_numeric::{Complex, ComplexBuffer, Precision, RealBuffer};
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 
-use crate::autotune::{AutotuneChoice, PhaseWeights, TierCalibration};
+use crate::autotune::{self, AutotuneChoice, AutotuneState, PhaseWeights};
 use crate::error_analysis::{condition_estimate, BoundParams};
 use crate::layout;
 use crate::linop::{
-    check_apply, check_batch, ConfigError, ConfigurableOperator, LinearOperator, OpDirection,
-    OpError, OpShape,
+    check_apply, ConfigError, ConfigurableOperator, LinearOperator, OpDirection, OpError, OpShape,
 };
 use crate::operator::BlockToeplitzOperator;
 use crate::precision::{MatvecPhase, PrecisionConfig};
+use crate::workspace::{Workspace, WorkspacePool};
 
 /// Execution backend a built pipeline computes on — re-exported from
 /// `fftmatvec-backend` under the name this crate has always used. `Cpu`
@@ -139,9 +137,8 @@ impl TierEngines {
 /// One apply's worth of intermediate buffers. Every field is reset (not
 /// reallocated) each apply as long as the tier/shape it held last time
 /// still matches — which is always the case under a fixed configuration.
-/// The `id` is pool-unique and backs the checkout ledger below.
-struct Workspace {
-    id: u64,
+#[derive(Default)]
+struct PipelineWorkspace {
     padded: RealBuffer,
     casted: RealBuffer,
     spectrum: ComplexBuffer,
@@ -151,145 +148,10 @@ struct Workspace {
     time: RealBuffer,
 }
 
-impl Workspace {
-    /// All-empty workspace; `Vec::new()` does not allocate.
-    fn empty(id: u64) -> Self {
-        Workspace {
-            id,
-            padded: RealBuffer::F64(Vec::new()),
-            casted: RealBuffer::F64(Vec::new()),
-            spectrum: ComplexBuffer::C64(Vec::new()),
-            xhat: ComplexBuffer::C64(Vec::new()),
-            yhat: ComplexBuffer::C64(Vec::new()),
-            dspec: ComplexBuffer::C64(Vec::new()),
-            time: RealBuffer::F64(Vec::new()),
-        }
-    }
-}
-
-/// Most workspaces a pool parks between applies. A serving registry can
-/// point many concurrent batch windows at one shared `FftMatvec`; each
-/// window transiently checks out one workspace per executing worker, and
-/// without a cap the pool would permanently retain that burst-peak
-/// footprint. Sized to comfortably cover the machine's worker
-/// concurrency (the steady-state checkout count) while letting bursts
-/// free their excess.
-pub fn workspace_retention_cap() -> usize {
-    // Computed once: `available_parallelism` reads procfs/cgroup state on
-    // Linux, which allocates — and this runs on the apply hot path (every
-    // workspace return), which is contractually allocation-free.
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        (2 * hw).max(8)
-    })
-}
-
-/// Bookkeeping behind one [`WorkspacePool`] mutex.
-struct PoolLedger {
-    /// Workspaces parked between applies, at most
-    /// [`workspace_retention_cap`] of them.
-    parked: Vec<Workspace>,
-    /// Ids currently checked out. Small (≈ worker concurrency), so a
-    /// linear scan beats a hash set.
-    checked_out: Vec<u64>,
-    /// Next fresh workspace id.
-    next_id: u64,
-    /// High-water mark of concurrent checkouts (diagnostic).
-    peak_out: usize,
-}
-
-/// Pool of [`Workspace`]s, mirroring the FFT `ScratchArena`: one buffer
-/// set per concurrently running worker, a single reused set when serial.
-///
-/// Hardened for shared-operator serving, where one `FftMatvec` is driven
-/// by many concurrent batch windows:
-///
-/// * **Checkout ledger** — every workspace carries a pool-unique id,
-///   recorded while it is out. A guard returning a workspace the ledger
-///   does not list (the only way two batches could ever alias one
-///   workspace's buffers) is a loud panic instead of silent data
-///   corruption.
-/// * **Bounded retention** — returned workspaces are parked only up to
-///   [`workspace_retention_cap`]; the rest free their buffers, so a
-///   burst of concurrent windows cannot permanently pin its peak
-///   footprint.
-struct WorkspacePool {
-    reuse: bool,
-    state: Mutex<PoolLedger>,
-}
-
-impl WorkspacePool {
-    fn new(reuse: bool) -> Self {
-        WorkspacePool {
-            reuse,
-            state: Mutex::new(PoolLedger {
-                parked: Vec::new(),
-                checked_out: Vec::new(),
-                next_id: 0,
-                peak_out: 0,
-            }),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, PoolLedger> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn checkout(&self) -> PooledWorkspace<'_> {
-        let mut st = self.lock();
-        let ws = match st.parked.pop() {
-            Some(ws) => ws,
-            None => {
-                let id = st.next_id;
-                st.next_id += 1;
-                Workspace::empty(id)
-            }
-        };
-        st.checked_out.push(ws.id);
-        st.peak_out = st.peak_out.max(st.checked_out.len());
-        PooledWorkspace { pool: self, ws: Some(ws) }
-    }
-
-    fn pooled(&self) -> usize {
-        self.lock().parked.len()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.lock().checked_out.len()
-    }
-
-    fn peak_in_flight(&self) -> usize {
-        self.lock().peak_out
-    }
-}
-
-struct PooledWorkspace<'a> {
-    pool: &'a WorkspacePool,
-    /// Always `Some` until `drop` takes it back.
-    ws: Option<Workspace>,
-}
-
-impl PooledWorkspace<'_> {
-    #[inline]
-    fn ws(&mut self) -> &mut Workspace {
-        self.ws.as_mut().expect("workspace held until drop")
-    }
-}
-
-impl Drop for PooledWorkspace<'_> {
-    fn drop(&mut self) {
-        let ws = self.ws.take().expect("workspace held until drop");
-        let mut st = self.pool.lock();
-        let idx = st
-            .checked_out
-            .iter()
-            .position(|&id| id == ws.id)
-            .expect("workspace returned twice or to a foreign pool: aliased checkout");
-        st.checked_out.swap_remove(idx);
-        if self.pool.reuse && st.parked.len() < workspace_retention_cap() {
-            st.parked.push(ws);
-        }
+impl Workspace for PipelineWorkspace {
+    fn bytes(&self) -> usize {
+        let real = self.padded.bytes() + self.casted.bytes() + self.time.bytes();
+        real + self.spectrum.bytes() + self.xhat.bytes() + self.yhat.bytes() + self.dspec.bytes()
     }
 }
 
@@ -300,7 +162,6 @@ impl Drop for PooledWorkspace<'_> {
 /// # let op = BlockToeplitzOperator::from_first_block_column(1, 1, 2, &[1.0, 0.5]).unwrap();
 /// let mv = FftMatvec::builder(op)
 ///     .precision(PrecisionConfig::optimal_forward())
-///     .workspace_reuse(true)
 ///     .build()
 ///     .unwrap();
 /// # let _ = mv;
@@ -309,7 +170,6 @@ pub struct FftMatvecBuilder {
     op: Arc<BlockToeplitzOperator>,
     cfg: PrecisionConfig,
     backend: Option<PipelineBackend>,
-    workspace_reuse: bool,
     budget: Option<(OpDirection, f64)>,
     kappa: Option<f64>,
 }
@@ -320,7 +180,6 @@ impl FftMatvecBuilder {
             op,
             cfg: PrecisionConfig::all_double(),
             backend: None,
-            workspace_reuse: true,
             budget: None,
             kappa: None,
         }
@@ -368,14 +227,6 @@ impl FftMatvecBuilder {
         self
     }
 
-    /// Keep intermediate buffers pooled between applies (default `true`).
-    /// Disable to trade the steady-state allocations back for a minimal
-    /// resident footprint between calls.
-    pub fn workspace_reuse(mut self, reuse: bool) -> Self {
-        self.workspace_reuse = reuse;
-        self
-    }
-
     /// Build the pipeline: resolves the per-tier FFT engines the
     /// configuration needs through the process-wide plan cache and
     /// preallocates nothing else — workspaces fill on first apply.
@@ -398,17 +249,12 @@ impl FftMatvecBuilder {
             backend: kind,
             device,
             engines,
-            workspace: WorkspacePool::new(self.workspace_reuse),
-            autotune: None,
+            workspace: WorkspacePool::default(),
+            kappa: self.kappa,
+            autotune: AutotuneState::default(),
         };
         if let Some((dir, budget)) = self.budget {
-            let kappa = self
-                .kappa
-                .unwrap_or_else(|| condition_estimate(&mv.op, default_kappa_stride(mv.op.nfreq())));
-            mv.resolve_budget(dir, budget, kappa).map_err(|e| match e {
-                OpError::Config(c) => c,
-                other => ConfigError::Autotune(other.to_string()),
-            })?;
+            mv.retune_budget(dir, budget).map_err(autotune::build_error)?;
         }
         Ok(mv)
     }
@@ -419,20 +265,6 @@ impl FftMatvecBuilder {
 /// large `N_t`.
 fn default_kappa_stride(nfreq: usize) -> usize {
     (nfreq / 32).max(1)
-}
-
-/// Flat batches above this many `f64` elements split across the pool.
-#[cfg(feature = "parallel")]
-const MANY_PAR_THRESHOLD: usize = 1 << 12;
-
-/// Live autotuning state a budget-built pipeline carries: the `κ`
-/// estimate and tier calibration persist so later
-/// [`FftMatvec::retune_budget`] calls refine timings instead of
-/// restarting them.
-struct AutotuneState {
-    kappa: f64,
-    calib: TierCalibration,
-    last: Option<AutotuneChoice>,
 }
 
 /// A configured FFTMatvec ready to apply `F` and `F*` through the
@@ -448,8 +280,11 @@ pub struct FftMatvec {
     backend: PipelineBackend,
     device: Arc<dyn DeviceBackend>,
     engines: TierEngines,
-    workspace: WorkspacePool,
-    autotune: Option<Box<AutotuneState>>,
+    workspace: WorkspacePool<PipelineWorkspace>,
+    /// `κ(F̂)` for the Eq. 6 pruning: the builder's override, else
+    /// estimated on the first budget resolution and kept for retunes.
+    kappa: Option<f64>,
+    autotune: AutotuneState,
 }
 
 impl std::fmt::Debug for FftMatvec {
@@ -506,7 +341,7 @@ impl FftMatvec {
     }
 
     /// Workspaces currently parked in the pipeline's pool (diagnostic).
-    /// Bounded by [`workspace_retention_cap`] however many concurrent
+    /// Bounded by [`crate::workspace_retention_cap`] however many concurrent
     /// batch windows have driven this pipeline.
     pub fn workspaces_pooled(&self) -> usize {
         self.workspace.pooled()
@@ -541,7 +376,7 @@ impl FftMatvec {
     /// built with [`FftMatvecBuilder::error_budget`] or retuned via
     /// [`retune_budget`](Self::retune_budget).
     pub fn autotuned(&self) -> Option<&AutotuneChoice> {
-        self.autotune.as_ref().and_then(|s| s.last.as_ref())
+        self.autotune.last()
     }
 
     /// Re-resolve this pipeline's configuration for a new error budget
@@ -556,40 +391,14 @@ impl FftMatvec {
         dir: OpDirection,
         budget: f64,
     ) -> Result<AutotuneChoice, OpError> {
-        let kappa = match &self.autotune {
-            Some(state) => state.kappa,
-            None => condition_estimate(&self.op, default_kappa_stride(self.op.nfreq())),
-        };
-        self.resolve_budget(dir, budget, kappa)?;
-        Ok(*self.autotuned().expect("resolve_budget stores the choice on success"))
-    }
-
-    /// Shared budget-resolution path for `build()` and `retune_budget`:
-    /// runs the autotune pass with this pipeline's persistent
-    /// calibration and installs the winner. The autotune state is taken
-    /// out for the duration so the calibration applies can borrow `self`
-    /// mutably.
-    fn resolve_budget(&mut self, dir: OpDirection, budget: f64, kappa: f64) -> Result<(), OpError> {
         let (nd, nm, nt) = (self.op.nd(), self.op.nm(), self.op.nt());
-        let taken = self.autotune.take();
-        let mut state = taken.unwrap_or_else(|| {
-            Box::new(AutotuneState { kappa, calib: TierCalibration::new(), last: None })
-        });
-        state.kappa = kappa;
+        let op = &self.op;
+        let kappa = *self
+            .kappa
+            .get_or_insert_with(|| condition_estimate(op, default_kappa_stride(op.nfreq())));
         let params = BoundParams::for_direction(dir, nt, nd, nm, 1, 1, kappa);
         let weights = PhaseWeights::for_shape(nd, nm, nt, dir);
-        let result =
-            crate::autotune::autotune(self, dir, budget, &params, &weights, &mut state.calib);
-        let result = match result {
-            Ok(choice) => {
-                self.set_config(choice.config);
-                state.last = Some(choice);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        };
-        self.autotune = Some(state);
-        result
+        autotune::resolve_budget(self, |mv| &mut mv.autotune, dir, budget, &params, &weights)
     }
 
     /// Current precision configuration.
@@ -637,7 +446,7 @@ impl FftMatvec {
         input: &[f64],
         out: &mut [f64],
         gemv_op: GemvOp,
-        ws: &mut Workspace,
+        ws: &mut PipelineWorkspace,
     ) -> Result<(), OpError> {
         let (nd, nm, nt, nfreq) = (self.op.nd(), self.op.nm(), self.op.nt(), self.op.nfreq());
         // Series counts on each side of the GEMV.
@@ -645,7 +454,7 @@ impl FftMatvec {
             GemvOp::NoTrans => (nm, nd),
             _ => (nd, nm),
         };
-        let Workspace { padded, casted, spectrum, xhat, yhat, dspec, time, .. } = ws;
+        let PipelineWorkspace { padded, casted, spectrum, xhat, yhat, dspec, time } = ws;
 
         // Phase 1 — broadcast + zero-pad (TOSI → SOTI), in cfg[Pad]. The
         // input crosses the host→device boundary here; the ledger books
@@ -717,14 +526,12 @@ impl LinearOperator for FftMatvec {
 
     fn apply_forward_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape(), OpDirection::Forward, input, out)?;
-        let mut guard = self.workspace.checkout();
-        self.run_pipeline(input, out, GemvOp::NoTrans, guard.ws())
+        self.run_pipeline(input, out, GemvOp::NoTrans, &mut self.workspace.checkout())
     }
 
     fn apply_adjoint_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape(), OpDirection::Adjoint, input, out)?;
-        let mut guard = self.workspace.checkout();
-        self.run_pipeline(input, out, GemvOp::ConjTrans, guard.ws())
+        self.run_pipeline(input, out, GemvOp::ConjTrans, &mut self.workspace.checkout())
     }
 
     /// Batched apply: the whole batch shares the engines resolved at
@@ -739,30 +546,10 @@ impl LinearOperator for FftMatvec {
         inputs: &[f64],
         outputs: &mut [f64],
     ) -> Result<(), OpError> {
-        let shape = self.shape();
-        let (in_len, out_len) = shape.io_lens(dir);
-        check_batch(shape, dir, inputs, outputs)?;
         let gemv_op = Self::gemv_op(dir);
-        #[cfg(feature = "parallel")]
-        if inputs.len().max(outputs.len()) > MANY_PAR_THRESHOLD {
-            let first = crate::linop::FirstError::new();
-            inputs
-                .par_chunks_exact(in_len)
-                .zip(outputs.par_chunks_exact_mut(out_len))
-                .enumerate()
-                .for_each_init(
-                    || self.workspace.checkout(),
-                    |guard, (k, (i, o))| {
-                        first.record(k, self.run_pipeline(i, o, gemv_op, guard.ws()));
-                    },
-                );
-            return first.into_result();
-        }
-        let mut guard = self.workspace.checkout();
-        for (i, o) in inputs.chunks_exact(in_len).zip(outputs.chunks_exact_mut(out_len)) {
-            self.run_pipeline(i, o, gemv_op, guard.ws())?;
-        }
-        Ok(())
+        self.workspace.apply_many(self.shape(), dir, inputs, outputs, |i, o, ws| {
+            self.run_pipeline(i, o, gemv_op, ws)
+        })
     }
 }
 
@@ -970,14 +757,13 @@ mod tests {
         let mv = FftMatvec::builder(op)
             .precision(PrecisionConfig::optimal_forward())
             .backend(PipelineBackend::Cpu)
-            .workspace_reuse(false)
             .build()
             .unwrap();
         assert_eq!(mv.backend(), PipelineBackend::Cpu);
         assert_eq!(mv.config(), PrecisionConfig::optimal_forward());
         let m = vec![1.0; 3 * 4];
         let _ = mv.apply_forward(&m).unwrap();
-        assert_eq!(mv.workspaces_pooled(), 0, "reuse=false must not pool workspaces");
+        assert_eq!(mv.workspaces_pooled(), 1, "the apply's workspace is parked for reuse");
     }
 
     #[test]
@@ -1072,45 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_pool_parks_at_most_the_retention_cap() {
-        let pool = WorkspacePool::new(true);
-        let cap = workspace_retention_cap();
-        // A burst of cap + 5 concurrent checkouts...
-        let guards: Vec<_> = (0..cap + 5).map(|_| pool.checkout()).collect();
-        assert_eq!(pool.in_flight(), cap + 5);
-        assert_eq!(pool.peak_in_flight(), cap + 5);
-        // ...parks only `cap` workspaces on return; the excess is freed.
-        drop(guards);
-        assert_eq!(pool.in_flight(), 0);
-        assert_eq!(pool.pooled(), cap, "retention must be bounded by the cap");
-        // Steady-state reuse still works: a fresh checkout drains the
-        // parked set instead of allocating.
-        let g = pool.checkout();
-        assert_eq!(pool.pooled(), cap - 1);
-        drop(g);
-        assert_eq!(pool.pooled(), cap);
-    }
-
-    #[test]
-    fn workspace_checkouts_never_alias() {
-        // Concurrent guards must hold workspaces with distinct ids — the
-        // ledger tracks exactly the outstanding set.
-        let pool = WorkspacePool::new(true);
-        let mut a = pool.checkout();
-        let mut b = pool.checkout();
-        assert_ne!(a.ws().id, b.ws().id, "two live guards must never share a workspace");
-        let (ia, ib) = (a.ws().id, b.ws().id);
-        drop(a);
-        drop(b);
-        // Reuse hands back the same workspaces, still distinct.
-        let mut c = pool.checkout();
-        let mut d = pool.checkout();
-        assert_ne!(c.ws().id, d.ws().id);
-        assert!([ia, ib].contains(&c.ws().id));
-        assert!([ia, ib].contains(&d.ws().id));
-    }
-
-    #[test]
     fn pipeline_tracks_in_flight_workspaces() {
         let op = random_operator(2, 3, 8, 83);
         let mv = mv(op, PrecisionConfig::all_double());
@@ -1120,7 +867,7 @@ mod tests {
         mv.apply_forward_into(&m, &mut out).unwrap();
         assert_eq!(mv.workspaces_in_flight(), 0, "guard returned after the apply");
         assert!(mv.workspaces_peak_in_flight() >= 1);
-        assert!(mv.workspaces_pooled() <= workspace_retention_cap());
+        assert!(mv.workspaces_pooled() <= crate::workspace_retention_cap());
     }
 
     /// Identity-plus-noise operator with κ(F̂) ≈ 1, suitable for budget

@@ -31,6 +31,13 @@ pub enum RealBuffer {
     F64(Vec<f64>),
 }
 
+/// An empty `f64` buffer; does not allocate.
+impl Default for RealBuffer {
+    fn default() -> Self {
+        RealBuffer::F64(Vec::new())
+    }
+}
+
 impl From<Vec<f16>> for RealBuffer {
     fn from(v: Vec<f16>) -> Self {
         RealBuffer::F16(v)
@@ -281,6 +288,13 @@ pub enum ComplexBuffer {
     CB16(Vec<Complex<bf16>>),
     C32(Vec<Complex<f32>>),
     C64(Vec<Complex<f64>>),
+}
+
+/// An empty `c64` buffer; does not allocate.
+impl Default for ComplexBuffer {
+    fn default() -> Self {
+        ComplexBuffer::C64(Vec::new())
+    }
 }
 
 impl From<Vec<Complex<f16>>> for ComplexBuffer {

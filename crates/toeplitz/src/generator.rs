@@ -53,7 +53,7 @@ impl ToeplitzGenerator {
         if levels.len() > MAX_LEVELS {
             // The recursion depth cap doubles as a sanity bound: more
             // levels than this is far past any scenario in scope.
-            return Err(ConfigError::ZeroDimension { what: "toeplitz levels beyond MAX_LEVELS" });
+            return Err(ConfigError::Unsupported { what: "more toeplitz levels than MAX_LEVELS" });
         }
         let mut lv = Vec::with_capacity(levels.len());
         for &(rows, cols) in levels {
@@ -201,5 +201,11 @@ mod tests {
             ToeplitzGenerator::new(&[(2, 2)], vec![1.0]),
             Err(ConfigError::ColumnLength { expected: 3, got: 1 })
         ));
+        let too_deep = ToeplitzGenerator::new(&[(1, 1); MAX_LEVELS + 1], vec![1.0]).unwrap_err();
+        assert!(matches!(too_deep, ConfigError::Unsupported { .. }));
+        assert_eq!(
+            too_deep.to_string(),
+            "unsupported construction: more toeplitz levels than MAX_LEVELS"
+        );
     }
 }

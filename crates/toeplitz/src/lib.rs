@@ -28,10 +28,11 @@
 //! [`TwoLevelToeplitz::plan_block`]).
 //!
 //! Construction is builder-based with the same surface as the 1-level
-//! pipeline (`precision`, `workspace_reuse`, `error_budget[_for]`,
-//! `kappa_override`), applies are zero-allocation over pooled
-//! workspaces, and the expensive symbol spectrum is shareable across
-//! precision variants via `Arc` (`builder_arc`).
+//! pipeline (`precision`, `backend`, `error_budget[_for]`,
+//! `kappa_override`), applies are zero-allocation over workspaces from
+//! the shared `fftmatvec_core::workspace` pool, and the expensive symbol
+//! spectrum is shareable across precision variants via `Arc`
+//! (`builder_arc`).
 
 pub mod generator;
 pub mod kernels;
@@ -39,7 +40,6 @@ pub mod operator;
 pub mod symbol;
 
 mod engines;
-mod workspace;
 
 pub use generator::{LevelDims, ToeplitzGenerator, MAX_LEVELS};
 pub use operator::{

@@ -13,34 +13,42 @@
 use std::sync::Arc;
 
 use fftmatvec_backend::{BackendKind, DeviceBackend};
+use fftmatvec_core::autotune::{self, AutotuneState};
+use fftmatvec_core::workspace::{Workspace, WorkspacePool};
 use fftmatvec_core::{
-    autotune, check_apply, check_batch, AutotuneChoice, BoundParams, ConfigError,
-    ConfigurableOperator, LinearOperator, MatvecPhase, OpDirection, OpError, OpShape, PhaseWeights,
-    PrecisionConfig, TierCalibration,
+    check_apply, AutotuneChoice, BoundParams, ConfigError, ConfigurableOperator, LinearOperator,
+    MatvecPhase, OpDirection, OpError, OpShape, PhaseWeights, PrecisionConfig,
 };
 use fftmatvec_fft::{cache, FftDirection, PlanHandle};
 use fftmatvec_numeric::{ComplexBuffer, Precision};
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
 use crate::engines::NdTierEngines;
 use crate::generator::{ToeplitzGenerator, MAX_LEVELS};
 use crate::kernels;
-use crate::symbol::{SpectraSet, ToeplitzSymbol};
-use crate::workspace::{Workspace, WorkspacePool};
+use crate::symbol::{SpectraSet, TierSpectra, ToeplitzSymbol};
 
-/// Flat batches above this many `f64` elements split across the pool
-/// (same threshold as the 1-level pipeline).
-#[cfg(feature = "parallel")]
-const MANY_PAR_THRESHOLD: usize = 1 << 12;
+/// One apply's worth of grid buffers. Under a fixed configuration each
+/// buffer keeps a stable tier across applies, so `reset_for_overwrite`
+/// reuses the allocation every time: `spec`/`specb` are the forward
+/// grid and its rotation partner in the Fft tier, `mid` materializes
+/// only when the Sbgemv tier differs, and `ispec`/`ispecb` only when
+/// the Ifft tier differs from its predecessor.
+#[derive(Default)]
+struct GridWorkspace {
+    spec: ComplexBuffer,
+    specb: ComplexBuffer,
+    mid: ComplexBuffer,
+    ispec: ComplexBuffer,
+    ispecb: ComplexBuffer,
+}
 
-/// Live autotuning state a budget-built operator carries; the tier
-/// calibration persists so later `retune_budget` calls refine timings
-/// instead of restarting them.
-struct AutotuneState {
-    calib: TierCalibration,
-    last: Option<AutotuneChoice>,
+impl Workspace for GridWorkspace {
+    fn bytes(&self) -> usize {
+        [&self.spec, &self.specb, &self.mid, &self.ispec, &self.ispecb]
+            .iter()
+            .map(|b| b.bytes())
+            .sum()
+    }
 }
 
 /// The shared pipeline engine behind both public realizations. Holds the
@@ -52,10 +60,10 @@ pub(crate) struct Core {
     backend: BackendKind,
     device: Arc<dyn DeviceBackend>,
     engines: NdTierEngines,
-    pool: Arc<WorkspacePool>,
+    pool: WorkspacePool<GridWorkspace>,
     shape: OpShape,
     kappa: f64,
-    autotune: Option<Box<AutotuneState>>,
+    autotune: AutotuneState,
 }
 
 // ---------------------------------------------------------------------
@@ -174,7 +182,6 @@ impl Core {
         sym: Arc<ToeplitzSymbol>,
         cfg: PrecisionConfig,
         backend: Option<BackendKind>,
-        reuse: bool,
         kappa_override: Option<f64>,
     ) -> Result<Core, ConfigError> {
         let kind = BackendKind::resolve(backend)?;
@@ -183,14 +190,14 @@ impl Core {
         let kappa = kappa_override.unwrap_or_else(|| sym.condition_estimate());
         let core = Core {
             engines: NdTierEngines::new(sym.work_dims().to_vec()),
-            pool: WorkspacePool::new(reuse),
+            pool: WorkspacePool::default(),
             shape,
             kappa,
             cfg,
             backend: kind,
             device,
             sym,
-            autotune: None,
+            autotune: AutotuneState::default(),
         };
         core.warm_for(cfg);
         Ok(core)
@@ -228,39 +235,12 @@ impl Core {
         PhaseWeights::for_shape(1, 1, self.sym.embed_total(), dir)
     }
 
-    /// Shared budget-resolution path for `build()` and `retune_budget`,
-    /// mirroring the 1-level pipeline: take the autotune state out so the
-    /// calibration applies can borrow `self` mutably, install the winner
-    /// through `set_config` on success, and restore the state either way
-    /// (on error the current configuration stays — the same
-    /// restore-on-error contract the sweeps rely on).
-    fn resolve_budget(&mut self, dir: OpDirection, budget: f64) -> Result<(), OpError> {
-        let taken = self.autotune.take();
-        let mut state = taken.unwrap_or_else(|| {
-            Box::new(AutotuneState { calib: TierCalibration::new(), last: None })
-        });
-        let params = self.bound_params(dir);
-        let weights = self.phase_weights(dir);
-        let result = autotune::autotune(self, dir, budget, &params, &weights, &mut state.calib);
-        let result = match result {
-            Ok(choice) => {
-                self.set_config(choice.config);
-                state.last = Some(choice);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        };
-        self.autotune = Some(state);
-        result
-    }
-
-    fn autotuned(&self) -> Option<&AutotuneChoice> {
-        self.autotune.as_ref().and_then(|s| s.last.as_ref())
-    }
-
+    /// Re-resolve the configuration for `budget` through the shared
+    /// autotune path (the tier calibration persists across calls); on
+    /// error the current configuration stays.
     fn retune_budget(&mut self, dir: OpDirection, budget: f64) -> Result<AutotuneChoice, OpError> {
-        self.resolve_budget(dir, budget)?;
-        Ok(*self.autotuned().expect("resolve_budget stores the choice on success"))
+        let (params, weights) = (self.bound_params(dir), self.phase_weights(dir));
+        autotune::resolve_budget(self, |core| &mut core.autotune, dir, budget, &params, &weights)
     }
 
     /// One full pipeline pass, all intermediates drawn from `ws`. Caller
@@ -270,12 +250,59 @@ impl Core {
         dir: OpDirection,
         input: &[f64],
         out: &mut [f64],
-        ws: &mut Workspace,
+        ws: &mut GridWorkspace,
     ) -> Result<(), OpError> {
         match self.sym.spectra() {
             SpectraSet::Full(_) => self.run_full(dir, input, out, ws),
             SpectraSet::Split { .. } => self.run_split(dir, input, out, ws),
         }
+    }
+
+    /// Phases 1–4 on one grid, all buffers drawn from `ws`: `pad` fills
+    /// the Fft-tier grid, then the forward N-d FFT in cfg[Fft],
+    /// the pointwise multiply by `sp` in cfg[Sbgemv] through the device
+    /// backend's cast and Hadamard primitives, and the inverse N-d FFT in
+    /// cfg[Ifft]. Returns the buffer holding the inverse transform. Each
+    /// FFT operand sits in a buffer of its tier with a same-tier rotation
+    /// partner, one buffer per role, so tiers stay stable across applies
+    /// under a fixed configuration (zero steady-state allocation).
+    fn grid_pass<'w>(
+        &self,
+        pad: impl FnOnce(&mut ComplexBuffer),
+        sp: &TierSpectra,
+        dir: OpDirection,
+        ws: &'w mut GridWorkspace,
+    ) -> Result<&'w ComplexBuffer, OpError> {
+        let n = self.sym.grid_len();
+        let p_fft = self.cfg.phase(MatvecPhase::Fft);
+        let p_gemv = self.cfg.phase(MatvecPhase::Sbgemv);
+        let p_ifft = self.cfg.phase(MatvecPhase::Ifft);
+        let GridWorkspace { spec, specb, mid, ispec, ispecb } = ws;
+        spec.reset_for_overwrite(p_fft, n);
+        specb.reset_for_overwrite(p_fft, n);
+        pad(spec);
+        fftn_dispatch(&self.engines, spec, specb, FftDirection::Forward)?;
+
+        let use_mid = p_gemv != p_fft;
+        if use_mid {
+            self.device.cast_complex(spec, p_gemv, mid)?;
+        }
+        let io = if use_mid { &mut *mid } else { &mut *spec };
+        let conj = matches!(dir, OpDirection::Adjoint);
+        self.device.pointwise_multiply(io, sp.buffer(p_gemv), conj)?;
+
+        let (inv, partner) = if p_ifft != p_gemv {
+            self.device.cast_complex(io, p_ifft, ispec)?;
+            ispecb.reset_for_overwrite(p_ifft, n);
+            (ispec, ispecb)
+        } else if use_mid {
+            ispecb.reset_for_overwrite(p_ifft, n);
+            (mid, ispecb)
+        } else {
+            (spec, specb)
+        };
+        fftn_dispatch(&self.engines, inv, partner, FftDirection::Inverse)?;
+        Ok(inv)
     }
 
     /// Full-embedding pipeline: pad → FFTN → ⊙ĉ → IFFTN → extract, one
@@ -285,7 +312,7 @@ impl Core {
         dir: OpDirection,
         input: &[f64],
         out: &mut [f64],
-        ws: &mut Workspace,
+        ws: &mut GridWorkspace,
     ) -> Result<(), OpError> {
         let levels = self.sym.generator().levels();
         let nl = levels.len();
@@ -305,55 +332,18 @@ impl Core {
         }
         let (in_dims, out_dims) = (&in_ext[..nl], &out_ext[..nl]);
         let grid_dims = self.sym.work_dims();
-        let n = self.sym.grid_len();
-        let conj = matches!(dir, OpDirection::Adjoint);
         let SpectraSet::Full(sp) = self.sym.spectra() else {
             return Err(OpError::Internal("full pipeline on a split symbol"));
         };
-
         let p_pad = self.cfg.phase(MatvecPhase::Pad);
-        let p_fft = self.cfg.phase(MatvecPhase::Fft);
-        let p_gemv = self.cfg.phase(MatvecPhase::Sbgemv);
-        let p_ifft = self.cfg.phase(MatvecPhase::Ifft);
-        let p_unpad = self.cfg.phase(MatvecPhase::Unpad);
-        let Workspace { spec, specb, mid, ispec, ispecb, .. } = ws;
-
-        // Phases 1+2 — embed in cfg[Pad] (cast fused into the grid
-        // write), forward N-d FFT in cfg[Fft].
-        spec.reset_for_overwrite(p_fft, n);
-        specb.reset_for_overwrite(p_fft, n);
-        pad_full_dispatch(in_dims, grid_dims, input, p_pad, spec);
-        fftn_dispatch(&self.engines, spec, specb, FftDirection::Forward)?;
-
-        // Phase 3 — pointwise symbol multiply in cfg[Sbgemv], through the
-        // device backend's cast and Hadamard primitives.
-        let use_mid = p_gemv != p_fft;
-        if use_mid {
-            self.device.cast_complex(spec, p_gemv, mid)?;
-        }
-        let io = if use_mid { &mut *mid } else { &mut *spec };
-        self.device.pointwise_multiply(io, sp.buffer(p_gemv), conj)?;
-
-        // Phase 4 — inverse N-d FFT in cfg[Ifft]. The operand must sit
-        // in an Ifft-tier buffer with a same-tier rotation partner; each
-        // role has a dedicated buffer so tiers stay stable across
-        // applies under a fixed configuration (zero steady-state
-        // allocation).
-        let use_ispec = p_ifft != p_gemv;
-        let (inv, partner): (&mut ComplexBuffer, &mut ComplexBuffer) = if use_ispec {
-            self.device.cast_complex(if use_mid { &*mid } else { &*spec }, p_ifft, ispec)?;
-            ispecb.reset_for_overwrite(p_ifft, n);
-            (ispec, ispecb)
-        } else if use_mid {
-            ispecb.reset_for_overwrite(p_ifft, n);
-            (mid, ispecb)
-        } else {
-            (spec, specb)
+        // Phase 1 — embed in cfg[Pad] (cast fused into the grid write).
+        let pad = |grid: &mut ComplexBuffer| {
+            pad_full_dispatch(in_dims, grid_dims, input, p_pad, grid);
         };
-        fftn_dispatch(&self.engines, inv, partner, FftDirection::Inverse)?;
-
+        let inv = self.grid_pass(pad, sp, dir, ws)?;
         // Phase 5 — head extraction through cfg[Unpad]; output is always
         // double.
+        let p_unpad = self.cfg.phase(MatvecPhase::Unpad);
         extract_full_dispatch(out_dims, grid_dims, inv, p_unpad, out);
         Ok(())
     }
@@ -369,7 +359,7 @@ impl Core {
         dir: OpDirection,
         input: &[f64],
         out: &mut [f64],
-        ws: &mut Workspace,
+        ws: &mut GridWorkspace,
     ) -> Result<(), OpError> {
         let levels = self.sym.generator().levels();
         let (in_outer, in_inner, out_outer, out_inner) = match dir {
@@ -381,59 +371,20 @@ impl Core {
             }
         };
         let m2 = self.sym.work_dims()[1];
-        let n = self.sym.grid_len();
-        let conj = matches!(dir, OpDirection::Adjoint);
         let SpectraSet::Split { even, odd, twist, untwist } = self.sym.spectra() else {
             return Err(OpError::Internal("split pipeline on a full symbol"));
         };
-
         let p_pad = self.cfg.phase(MatvecPhase::Pad);
-        let p_fft = self.cfg.phase(MatvecPhase::Fft);
-        let p_gemv = self.cfg.phase(MatvecPhase::Sbgemv);
-        let p_ifft = self.cfg.phase(MatvecPhase::Ifft);
         let p_unpad = self.cfg.phase(MatvecPhase::Unpad);
-        let Workspace { spec, specb, mid, ispec, ispecb, .. } = ws;
 
         for channel in 0..2u8 {
             let odd_channel = channel == 1;
-            // Phases 1+2 — embed the (twisted) head into the half grid,
-            // forward transform.
-            spec.reset_for_overwrite(p_fft, n);
-            specb.reset_for_overwrite(p_fft, n);
-            pad_split_dispatch(
-                in_outer,
-                in_inner,
-                m2,
-                input,
-                p_pad,
-                if odd_channel { Some(twist) } else { None },
-                spec,
-            );
-            fftn_dispatch(&self.engines, spec, specb, FftDirection::Forward)?;
-
-            // Phase 3 — this channel's symbol spectrum, through the
-            // device backend's cast and Hadamard primitives.
-            let use_mid = p_gemv != p_fft;
-            if use_mid {
-                self.device.cast_complex(spec, p_gemv, mid)?;
-            }
-            let sp = if odd_channel { odd } else { even };
-            let io = if use_mid { &mut *mid } else { &mut *spec };
-            self.device.pointwise_multiply(io, sp.buffer(p_gemv), conj)?;
-
-            // Phase 4 — inverse transform on the half grid.
-            let use_ispec = p_ifft != p_gemv;
-            let (inv, partner): (&mut ComplexBuffer, &mut ComplexBuffer) = if use_ispec {
-                self.device.cast_complex(if use_mid { &*mid } else { &*spec }, p_ifft, ispec)?;
-                ispecb.reset_for_overwrite(p_ifft, n);
-                (&mut *ispec, &mut *ispecb)
-            } else if use_mid {
-                ispecb.reset_for_overwrite(p_ifft, n);
-                (&mut *mid, &mut *ispecb)
-            } else {
-                (&mut *spec, &mut *specb)
+            // Phase 1 — embed the (twisted) head into the half grid.
+            let twist = odd_channel.then_some(&twist[..]);
+            let pad = |grid: &mut ComplexBuffer| {
+                pad_split_dispatch(in_outer, in_inner, m2, input, p_pad, twist, grid);
             };
-            fftn_dispatch(&self.engines, inv, partner, FftDirection::Inverse)?;
+            let inv = self.grid_pass(pad, if odd_channel { odd } else { even }, dir, ws)?;
 
             // Phase 5 — fold this channel into the output: the even
             // channel writes ½·E[n], the odd accumulates
@@ -460,14 +411,12 @@ impl LinearOperator for Core {
 
     fn apply_forward_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape, OpDirection::Forward, input, out)?;
-        let mut guard = self.pool.checkout();
-        self.run(OpDirection::Forward, input, out, guard.ws())
+        self.run(OpDirection::Forward, input, out, &mut self.pool.checkout())
     }
 
     fn apply_adjoint_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape, OpDirection::Adjoint, input, out)?;
-        let mut guard = self.pool.checkout();
-        self.run(OpDirection::Adjoint, input, out, guard.ws())
+        self.run(OpDirection::Adjoint, input, out, &mut self.pool.checkout())
     }
 
     fn apply_many_into(
@@ -476,27 +425,7 @@ impl LinearOperator for Core {
         inputs: &[f64],
         outputs: &mut [f64],
     ) -> Result<(), OpError> {
-        let shape = self.shape;
-        let (in_len, out_len) = shape.io_lens(dir);
-        check_batch(shape, dir, inputs, outputs)?;
-        #[cfg(feature = "parallel")]
-        if inputs.len().max(outputs.len()) > MANY_PAR_THRESHOLD {
-            let first = fftmatvec_core::FirstError::new();
-            inputs
-                .par_chunks_exact(in_len)
-                .zip(outputs.par_chunks_exact_mut(out_len))
-                .enumerate()
-                .for_each_init(
-                    || self.pool.checkout(),
-                    |guard, (k, (i, o))| first.record(k, self.run(dir, i, o, guard.ws())),
-                );
-            return first.into_result();
-        }
-        let mut guard = self.pool.checkout();
-        for (i, o) in inputs.chunks_exact(in_len).zip(outputs.chunks_exact_mut(out_len)) {
-            self.run(dir, i, o, guard.ws())?;
-        }
-        Ok(())
+        self.pool.apply_many(self.shape, dir, inputs, outputs, |i, o, ws| self.run(dir, i, o, ws))
     }
 }
 
@@ -523,7 +452,6 @@ struct BuilderInner {
     source: SymbolSource,
     cfg: PrecisionConfig,
     backend: Option<BackendKind>,
-    reuse: bool,
     budget: Option<(OpDirection, f64)>,
     kappa: Option<f64>,
 }
@@ -534,7 +462,6 @@ impl BuilderInner {
             source,
             cfg: PrecisionConfig::all_double(),
             backend: None,
-            reuse: true,
             budget: None,
             kappa: None,
         }
@@ -546,7 +473,7 @@ impl BuilderInner {
         let sym = match self.source {
             SymbolSource::Gen(gen) => {
                 if two_level_only && gen.levels().len() != 2 {
-                    return Err(ConfigError::ZeroDimension {
+                    return Err(ConfigError::Unsupported {
                         what: "TwoLevelToeplitz needs exactly two levels",
                     });
                 }
@@ -558,13 +485,13 @@ impl BuilderInner {
             }
             SymbolSource::Shared(sym) => {
                 if two_level_only && sym.generator().levels().len() != 2 {
-                    return Err(ConfigError::ZeroDimension {
+                    return Err(ConfigError::Unsupported {
                         what: "TwoLevelToeplitz needs exactly two levels",
                     });
                 }
                 if let Some(want) = split {
                     if want != sym.is_split() {
-                        return Err(ConfigError::ZeroDimension {
+                        return Err(ConfigError::Unsupported {
                             what: "shared symbol path conflicts with split_fft()",
                         });
                     }
@@ -572,12 +499,9 @@ impl BuilderInner {
                 sym
             }
         };
-        let mut core = Core::new(sym, self.cfg, self.backend, self.reuse, self.kappa)?;
+        let mut core = Core::new(sym, self.cfg, self.backend, self.kappa)?;
         if let Some((dir, budget)) = self.budget {
-            core.resolve_budget(dir, budget).map_err(|e| match e {
-                OpError::Config(c) => c,
-                other => ConfigError::Autotune(other.to_string()),
-            })?;
+            core.retune_budget(dir, budget).map_err(autotune::build_error)?;
         }
         Ok(core)
     }
@@ -588,12 +512,6 @@ macro_rules! builder_setters {
         /// Five-phase precision configuration (default `ddddd`).
         pub fn precision(mut self, cfg: PrecisionConfig) -> Self {
             self.inner.cfg = cfg;
-            self
-        }
-
-        /// Keep workspaces pooled between applies (default `true`).
-        pub fn workspace_reuse(mut self, reuse: bool) -> Self {
-            self.inner.reuse = reuse;
             self
         }
 
@@ -702,7 +620,7 @@ macro_rules! operator_common {
             /// The autotuner's latest resolution, if any budget was ever
             /// resolved.
             pub fn autotuned(&self) -> Option<&AutotuneChoice> {
-                self.core.autotuned()
+                self.core.autotune.last()
             }
 
             /// The shared symbol — build further precision variants over
@@ -1150,13 +1068,13 @@ mod tests {
         let g1 = random_gen(&[(3, 3)], 43);
         assert!(matches!(
             TwoLevelToeplitz::builder(g1).build(),
-            Err(ConfigError::ZeroDimension { .. })
+            Err(ConfigError::Unsupported { .. })
         ));
         let g2 = random_gen(&[(3, 3), (4, 4)], 47);
         let split_sym = Arc::new(ToeplitzSymbol::split(g2.clone()).unwrap());
         assert!(matches!(
             TwoLevelToeplitz::builder_arc(Arc::clone(&split_sym)).split_fft(false).build(),
-            Err(ConfigError::ZeroDimension { .. })
+            Err(ConfigError::Unsupported { .. })
         ));
         // Inheriting the shared path works and shares the spectra.
         let op = TwoLevelToeplitz::builder_arc(split_sym).build().unwrap();

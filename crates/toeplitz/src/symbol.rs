@@ -234,7 +234,7 @@ impl ToeplitzSymbol {
     /// pre-split into even/odd outer-frequency half grids.
     pub fn split(gen: ToeplitzGenerator) -> Result<ToeplitzSymbol, ConfigError> {
         if gen.levels().len() != 2 {
-            return Err(ConfigError::ZeroDimension { what: "split-FFT needs exactly two levels" });
+            return Err(ConfigError::Unsupported { what: "split-FFT needs exactly two levels" });
         }
         let outer = gen.levels()[0];
         let n1 = outer.rows.max(outer.cols);
@@ -338,7 +338,7 @@ mod tests {
     #[test]
     fn split_rejects_non_two_level_generators() {
         let gen = ToeplitzGenerator::new(&[(3, 3)], vec![1.0; 5]).unwrap();
-        assert!(matches!(ToeplitzSymbol::split(gen), Err(ConfigError::ZeroDimension { .. })));
+        assert!(matches!(ToeplitzSymbol::split(gen), Err(ConfigError::Unsupported { .. })));
     }
 
     #[test]
